@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -18,7 +19,9 @@ from cfpq.graph import Graph
 from conftest import (
     P0,
     P1,
+    all_paths,
     brute_matching_endpoints,
+    linear_graph,
     random_graph,
     run_checked,
 )
@@ -99,6 +102,70 @@ class TestEnumeratePaths:
         paths = [p.edges for p in enumerate_paths(result, 0, 0, PathQueryLimits(10, 6))]
         assert len(set(paths)) == len(paths)
         assert [len(p) for p in paths] == [2, 4, 6]
+
+    def test_only_accepted_roots_yield_paths(self):
+        # S(0, 4) and S(1, 3) are in the forest, but neither spans a start
+        # vertex to a final vertex, so neither is an accepted root.
+        grammar = parse_grammar("S -> a S b\nS -> a b")
+        result = run_checked(linear_graph("aabb"), grammar, starts={0}, finals={3})
+        assert result.root_pairs() == set()
+        limits = PathQueryLimits(5, 8)
+        assert list(enumerate_paths(result, 1, 3, limits)) == []
+        assert list(enumerate_paths(result, 0, 4, limits)) == []
+        accepted = run_checked(linear_graph("aabb"), grammar, starts={0}, finals={4})
+        assert [len(p) for p in enumerate_paths(accepted, 0, 4, limits)] == [4]
+
+
+UNIT_CYCLES = "S -> A S\nS -> a\nA -> eps\nA -> A A"
+# S(u, v) -> B(u, v) -> C(u, v) -> D(u, v) -> S(u, v): a zero-length cycle
+# through four forest nodes, entered from a longer key through C.
+LONG_UNIT_CYCLE = "S -> B\nB -> C\nC -> D\nD -> S\nB -> b\nS -> a C"
+
+
+class TestEnumeratePathsAgainstWalks:
+    """The exact listing, cut at max_paths, equals brute-force walk
+    enumeration filtered by word membership and sorted by (length, edges)."""
+
+    MAX_LENGTH = 5
+
+    def reference(self, graph, grammar) -> dict:
+        listing: dict[tuple[int, int], list] = defaultdict(list)
+        memo: dict[tuple[str, ...], bool] = {}
+        for edges in all_paths(graph, self.MAX_LENGTH):
+            w = tuple(e[1] for e in edges)
+            if w not in memo:
+                memo[w] = accepts(grammar, w)
+            if memo[w]:
+                listing[edges[0][0], edges[-1][2]].append(edges)
+        for walks in listing.values():
+            walks.sort(key=lambda walk: (len(walk), walk))
+        return listing
+
+    def test_listing_matches_walks(self, g0, g1, g2):
+        graphs = random.Random(2017)
+        rng = random.Random(5)
+        grammars = (g0, g1, g2, parse_grammar(UNIT_CYCLES), parse_grammar(LONG_UNIT_CYCLE))
+        tie_cuts = 0
+        for _ in range(8):
+            graph = random_graph(graphs, max_vertices=6, labels="ab")
+            vertices = list(graph.vertices())
+            for grammar in grammars:
+                listing = self.reference(graph, grammar)
+                starts = set(rng.sample(vertices, rng.randint(1, len(vertices))))
+                finals = set(rng.sample(vertices, rng.randint(1, len(vertices))))
+                result = run_checked(graph, grammar, starts, finals)
+                for u in vertices:
+                    for v in vertices:
+                        accepted = u in starts and v in finals
+                        expected = listing.get((u, v), []) if accepted else []
+                        k = rng.choice((1, 2, 3, 7, 40))
+                        limits = PathQueryLimits(k, self.MAX_LENGTH)
+                        got = [p.edges for p in enumerate_paths(result, u, v, limits)]
+                        assert got == expected[:k], (grammar, u, v, k)
+                        if len(expected) > k and len(expected[k - 1]) == len(expected[k]):
+                            tie_cuts += 1
+        # the cut falls inside one length often enough to pin top-k at ties
+        assert tie_cuts >= 20
 
 
 class TestExtractSubgraph:
