@@ -6,21 +6,15 @@ holding every matched path, from which reachability pairs, concrete paths
 and matched subgraphs are extracted.
 """
 
-from .engine import BoundCheck, EngineStats, QueryEngine, run_query, size_audit
+from .engine import QueryEngine, run_query, size_audit
 from .grammar import (
     Grammar,
     GrammarError,
-    GrammarSlot,
     ParseTable,
-    Production,
     build_parse_table,
-    compute_first,
-    compute_follow,
-    compute_nullable,
     parse_grammar,
 )
 from .graph import (
-    Edge,
     Graph,
     GraphFormatError,
     Path,
@@ -39,35 +33,24 @@ from .results import (
     format_triples,
     reachable_pairs,
 )
-from .sppf import DUMMY, ForestSnapshot, Sppf, SppfStats, export_dot, export_json, load_json
+from .sppf import Sppf, export_dot, export_json, load_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCheck",
-    "DUMMY",
-    "Edge",
-    "EngineStats",
-    "ForestSnapshot",
     "Grammar",
     "GrammarError",
-    "GrammarSlot",
     "Graph",
     "GraphFormatError",
     "ParseTable",
     "Path",
     "PathQueryLimits",
-    "Production",
     "QueryEngine",
     "QueryResult",
     "Sppf",
-    "SppfStats",
     "accepts",
     "build_parse_table",
     "complete_graph",
-    "compute_first",
-    "compute_follow",
-    "compute_nullable",
     "enumerate_paths",
     "export_dot",
     "export_json",

@@ -73,7 +73,7 @@ def _parse_vertex_set(graph: Graph, spec: str) -> frozenset[int] | None:
     return frozenset(vertices)
 
 
-def _run_from_args(args: argparse.Namespace, record_descriptors: bool = False):
+def _run_from_args(args: argparse.Namespace):
     grammar = _load_grammar(args.grammar)
     graph = _load_graph(args)
     starts = _parse_vertex_set(graph, args.starts)
@@ -86,7 +86,6 @@ def _run_from_args(args: argparse.Namespace, record_descriptors: bool = False):
         finals,
         table=table,
         worklist=args.worklist,
-        record_descriptors=record_descriptors,
     )
     return grammar, graph, result
 
@@ -154,8 +153,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     print(
         f"engine: descriptors={result.engine.descriptors} "
-        f"dispatches={result.engine.dispatches} gss_nodes={result.engine.gss_nodes} "
-        f"gss_edges={result.engine.gss_edges}"
+        f"gss_nodes={result.engine.gss_nodes} gss_edges={result.engine.gss_edges}"
     )
     for check in size_audit(result):
         verdict = "PASS" if check.ok else "FAIL"

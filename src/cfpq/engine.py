@@ -61,7 +61,6 @@ class GssNode:
 @dataclass(frozen=True)
 class EngineStats:
     descriptors: int
-    dispatches: int
     gss_nodes: int
     gss_edges: int
 
@@ -97,7 +96,6 @@ class QueryEngine:
         self._seen: set = set()
         self._gss: dict[tuple, GssNode] = {}
         self._gss_edges = 0
-        self._dispatches = 0
         self._predict_cache: dict[tuple[str, int], tuple[GrammarSlot, ...]] = {}
         self._descriptor_keys: list[tuple] | None = [] if record_descriptors else None
         self._seed()
@@ -199,9 +197,7 @@ class QueryEngine:
         pop_next = pending.pop if self._worklist == "lifo" else pending.popleft
         processing = self.processing
         while pending:
-            self._dispatches += 1
             processing(pop_next())
-        assert self._dispatches == len(self._seen), "descriptor dispatched more than once"
         start = self.grammar.start
         roots = sorted(
             (
@@ -213,7 +209,6 @@ class QueryEngine:
         )
         stats = EngineStats(
             descriptors=len(self._seen),
-            dispatches=self._dispatches,
             gss_nodes=len(self._gss),
             gss_edges=self._gss_edges,
         )
@@ -302,10 +297,5 @@ def size_audit(result: QueryResult) -> list[BoundCheck]:
             "stack edges <= (stack nodes)^2",
             result.engine.gss_edges,
             result.engine.gss_nodes**2,
-        ),
-        BoundCheck(
-            "dispatches == descriptors",
-            abs(result.engine.dispatches - result.engine.descriptors),
-            0,
         ),
     ]

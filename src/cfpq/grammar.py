@@ -1,4 +1,4 @@
-"""Context-free grammars: text format, nullable/FIRST/FOLLOW and the prediction table.
+"""Context-free grammars: text format, nullable/FIRST and the prediction table.
 
 A grammar is read from plain text, one rule per line (``lhs -> sym sym ...``,
 ``eps`` for an empty right-hand side, ``#`` starts a comment).  A symbol is a
@@ -43,7 +43,6 @@ class GrammarSlot:
     __slots__ = (
         "production",
         "dot",
-        "index",
         "key",
         "symbol",
         "symbol_is_terminal",
@@ -53,10 +52,9 @@ class GrammarSlot:
         "pass_through",
     )
 
-    def __init__(self, production: Production, dot: int, index: int):
+    def __init__(self, production: Production, dot: int):
         self.production = production
         self.dot = dot
-        self.index = index
         self.key = (production.index, dot)
         self.symbol = production.rhs[dot] if dot < len(production.rhs) else None
         self.symbol_is_terminal = False
@@ -74,8 +72,11 @@ class GrammarSlot:
 class Grammar:
     """An immutable context-free grammar plus its derived parsing artifacts.
 
-    Nullable set, FIRST/FOLLOW and the slot inventory are computed at
-    construction; instances are safe to share across concurrent queries.
+    Nullable set, FIRST and the slot inventory are computed at construction;
+    instances are safe to share across concurrent queries.  There is no
+    FOLLOW: a graph vertex has no end-of-input marker, so the engine predicts
+    nullable alternatives unconditionally and FOLLOW could not change a
+    prediction.
     """
 
     def __init__(self, rules: Iterable[tuple[str, tuple[str, ...]]], start: str | None = None):
@@ -100,7 +101,6 @@ class Grammar:
         }
         self.nullable: frozenset[str] = compute_nullable(self)
         self.first: dict[str, frozenset[str]] = compute_first(self)
-        self.follow: dict[str, frozenset[str]] = compute_follow(self)
         self._build_slots()
 
     def _build_slots(self) -> None:
@@ -108,7 +108,7 @@ class Grammar:
         by_key: dict[tuple[int, int], GrammarSlot] = {}
         for p in self.productions:
             for dot in range(len(p.rhs) + 1):
-                slot = GrammarSlot(p, dot, len(slots))
+                slot = GrammarSlot(p, dot)
                 slots.append(slot)
                 by_key[slot.key] = slot
         for slot in slots:
@@ -134,20 +134,6 @@ class Grammar:
     def slot(self, production_index: int, dot: int) -> GrammarSlot:
         return self._slots_by_key[(production_index, dot)]
 
-    def sequence_nullable(self, symbols: Iterable[str]) -> bool:
-        return all(s in self.nullable for s in symbols)
-
-    def first_of_sequence(self, symbols: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for sym in symbols:
-            if sym in self.terminals:
-                out.add(sym)
-                break
-            out |= self.first[sym]
-            if sym not in self.nullable:
-                break
-        return frozenset(out)
-
     @cached_property
     def parse_table(self) -> ParseTable:
         return build_parse_table(self)
@@ -159,9 +145,11 @@ class Grammar:
 class ParseTable:
     """Prediction table: (nonterminal, next edge label) -> candidate initial slots.
 
-    ``nullable_alternatives`` lists the initial slots of empty-deriving
-    productions; the engine injects them regardless of lookahead so that
-    epsilon derivations survive at vertices without matching out-edges.
+    A cell holds the alternatives whose right-hand side has the label in its
+    FIRST set.  ``nullable_alternatives`` lists the initial slots of
+    empty-deriving productions; the engine always predicts them, whatever the
+    out-labels of the vertex, so that epsilon derivations survive at vertices
+    without matching out-edges.
     """
 
     def __init__(
@@ -177,9 +165,6 @@ class ParseTable:
 
     def nullable_alternatives(self, nonterminal: str) -> tuple[GrammarSlot, ...]:
         return self._nullable.get(nonterminal, ())
-
-    def cells(self) -> dict[tuple[str, str], tuple[GrammarSlot, ...]]:
-        return dict(self._entries)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -232,9 +217,24 @@ def compute_nullable(grammar: Grammar) -> frozenset[str]:
     return frozenset(nullable)
 
 
+def _first_of_sequence(
+    symbols: Iterable[str], first: Mapping[str, Iterable[str]], nullable: frozenset[str]
+) -> set[str]:
+    """FIRST of a symbol sequence; ``first`` maps each nonterminal to its FIRST
+    set, and a symbol missing from it is a terminal."""
+    out: set[str] = set()
+    for sym in symbols:
+        if sym not in first:
+            out.add(sym)
+            break
+        out.update(first[sym])
+        if sym not in nullable:
+            break
+    return out
+
+
 def compute_first(grammar: Grammar) -> dict[str, frozenset[str]]:
     """FIRST sets over terminals for every nonterminal."""
-    nullable = grammar.nullable
     first: dict[str, set[str]] = {a: set() for a in grammar.nonterminals}
     changed = True
     while changed:
@@ -242,51 +242,9 @@ def compute_first(grammar: Grammar) -> dict[str, frozenset[str]]:
         for p in grammar.productions:
             target = first[p.lhs]
             before = len(target)
-            for sym in p.rhs:
-                if sym in grammar.terminals:
-                    target.add(sym)
-                    break
-                target |= first[sym]
-                if sym not in nullable:
-                    break
-            if len(target) != before:
-                changed = True
+            target |= _first_of_sequence(p.rhs, first, grammar.nullable)
+            changed |= len(target) != before
     return {a: frozenset(s) for a, s in first.items()}
-
-
-def compute_follow(grammar: Grammar) -> dict[str, frozenset[str]]:
-    """FOLLOW sets over terminals (no end-of-input marker; graphs have none)."""
-    nullable = grammar.nullable
-    first = grammar.first
-
-    def first_of(seq: tuple[str, ...]) -> tuple[set[str], bool]:
-        out: set[str] = set()
-        for sym in seq:
-            if sym in grammar.terminals:
-                out.add(sym)
-                return out, False
-            out |= first[sym]
-            if sym not in nullable:
-                return out, False
-        return out, True
-
-    follow: dict[str, set[str]] = {a: set() for a in grammar.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for p in grammar.productions:
-            for k, sym in enumerate(p.rhs):
-                if sym not in grammar.nonterminals:
-                    continue
-                tail_first, tail_nullable = first_of(p.rhs[k + 1 :])
-                target = follow[sym]
-                before = len(target)
-                target |= tail_first
-                if tail_nullable:
-                    target |= follow[p.lhs]
-                if len(target) != before:
-                    changed = True
-    return {a: frozenset(s) for a, s in follow.items()}
 
 
 def build_parse_table(grammar: Grammar, lookahead: bool = True) -> ParseTable:
@@ -301,23 +259,16 @@ def build_parse_table(grammar: Grammar, lookahead: bool = True) -> ParseTable:
     for a in grammar.nonterminals:
         alts = grammar.initial_slots[a]
         nullable_alts[a] = tuple(
-            s for s in alts if grammar.sequence_nullable(s.production.rhs)
+            s for s in alts if all(sym in grammar.nullable for sym in s.production.rhs)
         )
-        for t in grammar.terminals:
-            if lookahead:
-                cell = [
-                    s
-                    for s in alts
-                    if t in grammar.first_of_sequence(s.production.rhs)
-                    or (
-                        grammar.sequence_nullable(s.production.rhs)
-                        and t in grammar.follow[a]
-                    )
-                ]
-            else:
-                cell = list(alts)
-            if cell:
-                entries[(a, t)] = cell
+        for s in alts:
+            labels = (
+                _first_of_sequence(s.production.rhs, grammar.first, grammar.nullable)
+                if lookahead
+                else grammar.terminals
+            )
+            for t in labels:
+                entries.setdefault((a, t), []).append(s)
     return ParseTable(
         {k: tuple(v) for k, v in entries.items()},
         nullable_alts,

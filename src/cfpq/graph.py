@@ -25,7 +25,6 @@ class Graph:
     def __init__(self, vertex_count: int = 0):
         self._edges: set[Edge] = set()
         self._out: dict[int, dict[str, list[int]]] = {}
-        self._labels: set[str] = set()
         self._max_vertex = vertex_count - 1
         self._names: list[str] | None = None
         self._ids: dict[str, int] | None = None
@@ -38,7 +37,6 @@ class Graph:
         if edge in self._edges:
             return False
         self._edges.add(edge)
-        self._labels.add(label)
         insort(self._out.setdefault(source, {}).setdefault(label, []), target)
         if source > self._max_vertex:
             self._max_vertex = source
@@ -90,17 +88,8 @@ class Graph:
     def edges(self) -> list[Edge]:
         return sorted(self._edges)
 
-    def has_edge(self, source: int, label: str, target: int) -> bool:
-        return (source, label, target) in self._edges
-
-    def labels(self) -> frozenset[str]:
-        return frozenset(self._labels)
-
     def out_degree(self, vertex: int) -> int:
         return sum(len(ts) for ts in self._out.get(vertex, {}).values())
-
-    def targets(self, vertex: int, label: str) -> tuple[int, ...]:
-        return tuple(self._out.get(vertex, {}).get(label, ()))
 
     # -- vertex naming -----------------------------------------------------
 

@@ -74,10 +74,16 @@ def reachable_pairs(result: QueryResult, nonterminal: str) -> set[tuple[int, int
 
 def format_triples(result: QueryResult, nonterminal: str | None = None) -> str:
     """Result triples as TSV lines ``nonterminal<TAB>source<TAB>target``,
-    lexicographically sorted for deterministic output."""
+    lexicographically sorted for deterministic output.
+
+    For the start symbol (the default) these are the accepted roots: pairs
+    from a start vertex to a final vertex.  Any other nonterminal lists every
+    forest node with that label, wherever the run reached it.
+    """
     label = nonterminal if nonterminal is not None else result.grammar.start
+    pairs = result.root_pairs() if label == result.grammar.start else reachable_pairs(result, label)
     name = result.graph.vertex_name
-    lines = sorted(f"{label}\t{name(u)}\t{name(v)}" for u, v in reachable_pairs(result, label))
+    lines = sorted(f"{label}\t{name(u)}\t{name(v)}" for u, v in pairs)
     return "".join(line + "\n" for line in lines)
 
 

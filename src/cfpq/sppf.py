@@ -173,9 +173,6 @@ class Sppf:
             node = self._terminal[key] = TerminalNode(source, label, target)
         return node
 
-    def get_node_t(self, edge: tuple[int, str, int]) -> TerminalNode:
-        return self.terminal_node(*edge)
-
     def epsilon_node(self, vertex: int) -> EpsilonNode:
         node = self._epsilon.get(vertex)
         if node is None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cfpq import Graph, load_tsv, parse_grammar, run_query, size_audit
+from cfpq import Graph, QueryEngine, load_tsv, parse_grammar, run_query, size_audit
 from cfpq.oracle import accepts
 
 G1_TEXT = "S -> a S b\nS -> Middle\nMiddle -> a b"
@@ -49,6 +49,21 @@ def run_checked(graph, grammar, starts=None, finals=None, **kwargs):
     failed = [c for c in size_audit(result) if not c.ok]
     assert not failed, f"size audit failed: {failed}"
     return result
+
+
+def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs):
+    """Run a query and return the result with every descriptor the engine
+    processed, in processing order."""
+    engine = QueryEngine(graph, grammar, starts, finals, **kwargs)
+    processed = []
+    process = engine.processing
+
+    def recorded(descriptor):
+        processed.append(descriptor)
+        process(descriptor)
+
+    engine.processing = recorded
+    return engine.run(), processed
 
 
 def linear_graph(word: str) -> Graph:

@@ -34,6 +34,7 @@ from conftest import (
     linear_graph,
     random_graph,
     run_checked,
+    run_recording_dispatches,
 )
 
 
@@ -191,13 +192,13 @@ def test_criterion_07_size_bound_audits(grammars):
         (complete_graph(4, {"a", "b"}, with_loops=True), grammars["g0"]),
     ]
     for graph, grammar in fixtures:
-        result = run_query(graph, grammar, record_descriptors=True)
+        result, processed = run_recording_dispatches(graph, grammar, record_descriptors=True)
         stats = result.sppf.stats()
         assert stats.terminal <= graph.edge_count
         assert stats.epsilon <= graph.vertex_count
         assert stats.nonterminal <= len(grammar.nonterminals) * graph.vertex_count**2
         assert result.engine.gss_nodes <= (grammar.return_slot_count + 1) * graph.vertex_count
-        assert result.engine.dispatches == result.engine.descriptors
+        assert len(processed) == len(set(processed)) == result.engine.descriptors
         for slot_key, stack_key, vertex, sppf_key in result.descriptor_keys:
             assert sppf_key == "$" or (sppf_key[-2], sppf_key[-1]) == (stack_key[1], vertex)
         assert all(check.ok for check in size_audit(result))

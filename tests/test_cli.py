@@ -52,6 +52,24 @@ class TestQuery:
         assert "S\t0\t0" in lines and "S\t0\t3" in lines
         assert lines == sorted(lines)
 
+    def test_start_symbol_triples_are_the_accepted_roots(self, graph_file, capsys):
+        # S also spans (1, 0), (1, 3), (2, 0) and (2, 3) in the forest, but
+        # only pairs leaving a start vertex are answers
+        code = main(["query", "--graph", graph_file, "--grammar", "g1", "--starts", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == "S\t0\t0\nS\t0\t3\n"
+
+    def test_no_accepted_root_prints_nothing(self, tmp_path, capsys):
+        graph = tmp_path / "aabb.tsv"
+        graph.write_text("0\ta\t1\n1\ta\t2\n2\tb\t3\n3\tb\t4\n", encoding="utf-8")
+        grammar = tmp_path / "anbn.cfg"
+        grammar.write_text("S -> a S b\nS -> a b\n", encoding="utf-8")
+        # the forest holds S over (0, 4) and (1, 3); neither goes from 0 to 3
+        code = main(["query", "--graph", str(graph), "--grammar", str(grammar),
+                     "--starts", "0", "--finals", "3"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
     def test_builtin_alias_and_stdout(self, graph_file, capsys):
         code = main(["query", "--graph", graph_file, "--grammar", "g1"])
         assert code == 0

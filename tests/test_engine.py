@@ -10,7 +10,7 @@ from cfpq.graph import Graph, complete_graph, load_tsv
 from cfpq.oracle import hellings_slice
 from cfpq.results import reachable_pairs
 from cfpq.sppf import DUMMY
-from conftest import M_TSV, linear_graph, random_graph, run_checked
+from conftest import M_TSV, linear_graph, random_graph, run_checked, run_recording_dispatches
 
 
 def fresh_engine(graph_m, g1):
@@ -48,7 +48,7 @@ class TestPop:
         eng = fresh_engine(graph_m, g1)
         bottom = eng._gss_node(None, 0)
         pending = len(eng._pending)
-        eng.pop(bottom, 0, eng.sppf.get_node_t((0, "a", 1)))
+        eng.pop(bottom, 0, eng.sppf.terminal_node(0, "a", 1))
         assert len(eng._pending) == pending
         assert not bottom.pops
 
@@ -63,8 +63,8 @@ class TestPop:
         # a completed Middle spanning (0, 3) resumes both callers
         middle = eng.sppf.get_node_p(
             g1.slot(2, 2),
-            eng.sppf.get_node_t((0, "a", 1)),
-            eng.sppf.get_node_t((1, "b", 3)),
+            eng.sppf.terminal_node(0, "a", 1),
+            eng.sppf.terminal_node(1, "b", 3),
         )
         eng.pop(node, 3, middle)
         assert len(eng._pending) == pending + 2
@@ -75,8 +75,8 @@ class TestPop:
         node = eng.create(g1.slot(1, 1), bottom, 0, DUMMY)
         middle = eng.sppf.get_node_p(
             g1.slot(2, 2),
-            eng.sppf.get_node_t((0, "a", 1)),
-            eng.sppf.get_node_t((1, "b", 3)),
+            eng.sppf.terminal_node(0, "a", 1),
+            eng.sppf.terminal_node(1, "b", 3),
         )
         eng.pop(node, 3, middle)
         late_caller = eng._gss_node(g1.slot(0, 2), 0)
@@ -247,6 +247,6 @@ def test_descriptor_extension_invariant_holds(graph_m, g1):
 
 
 def test_dispatch_counts(graph_m, g1):
-    result = run_query(graph_m, g1)
-    assert result.engine.dispatches == result.engine.descriptors
+    result, processed = run_recording_dispatches(graph_m, g1)
+    assert len(processed) == len(set(processed)) == result.engine.descriptors
     assert all(c.ok for c in size_audit(result))

@@ -10,11 +10,11 @@ from cfpq.grammar import (
     GrammarError,
     build_parse_table,
     compute_first,
-    compute_follow,
     compute_nullable,
     parse_grammar,
 )
-from conftest import G0_TEXT, G1_TEXT, G2_TEXT
+from cfpq.engine import QueryEngine
+from conftest import G0_TEXT, G1_TEXT, G2_TEXT, random_graph
 
 Q1_TEXT = (
     "S -> subClassOf_r S subClassOf\n"
@@ -89,11 +89,10 @@ class TestParseTable:
 
     def test_g0_nullable_entries(self, g0):
         table = build_parse_table(g0)
-        cell_b = {s.key for s in table.cell("S", "b")}
-        # b is in FOLLOW(S), so the epsilon alternative is predicted on b;
-        # S S is nullable as well, so its slot sits in the same cell.
-        assert (0, 0) in cell_b
-        assert cell_b == {(0, 0), (2, 0)}
+        # cells are FIRST-only: a S b and S S start with a, and b starts no
+        # alternative; nullable alternatives are listed apart from the cells
+        assert {s.key for s in table.cell("S", "a")} == {(1, 0), (2, 0)}
+        assert table.cell("S", "b") == ()
         # both the epsilon production and the nullable S S alternative qualify
         assert {s.key for s in table.nullable_alternatives("S")} == {(0, 0), (2, 0)}
 
@@ -158,21 +157,15 @@ def brute_tables(grammar: Grammar, max_length: int = 8):
                 nullable.add(a)
             elif form[0] in grammar.terminals:
                 first[a].add(form[0])
-    follow: dict[str, set[str]] = {a: set() for a in grammar.nonterminals}
-    for form in derivable_forms(grammar, grammar.start, max_length):
-        for left, right in zip(form, form[1:]):
-            if left in grammar.nonterminals and right in grammar.terminals:
-                follow[left].add(right)
-    return nullable, first, follow
+    return nullable, first
 
 
 @pytest.mark.parametrize("text", [G0_TEXT, G1_TEXT, G2_TEXT, Q1_TEXT])
 def test_analysis_matches_brute_force(text):
     g = parse_grammar(text)
-    nullable, first, follow = brute_tables(g)
+    nullable, first = brute_tables(g)
     assert compute_nullable(g) == nullable
     assert compute_first(g) == {a: frozenset(s) for a, s in first.items()}
-    assert compute_follow(g) == {a: frozenset(s) for a, s in follow.items()}
 
 
 def random_grammar(rng: random.Random) -> Grammar:
@@ -185,7 +178,7 @@ def random_grammar(rng: random.Random) -> Grammar:
                 rng.choice(nonterminals + terminals) for _ in range(rng.randint(0, 2))
             )
             rules.append((lhs, rhs))
-    # keep every nonterminal reachable so FOLLOW is derivation-witnessed
+    # keep every nonterminal reachable from the start symbol
     rules.append(("S", tuple(nonterminals)))
     return Grammar(rules, start="S")
 
@@ -194,36 +187,56 @@ def test_analysis_sound_on_random_grammars():
     rng = random.Random(20240817)
     for _ in range(40):
         g = random_grammar(rng)
-        nullable, first, follow = brute_tables(g, max_length=8)
+        nullable, first = brute_tables(g, max_length=8)
         # the bounded brute force can only under-approximate
         assert nullable <= compute_nullable(g)
         for a in g.nonterminals:
             assert first[a] <= compute_first(g)[a]
-            assert follow[a] <= compute_follow(g)[a]
+
+
+def brute_first_of(grammar: Grammar, rhs, nullable, first) -> tuple[set[str], bool]:
+    """FIRST of a right-hand side from brute-force tables, and whether it is nullable."""
+    out: set[str] = set()
+    for sym in rhs:
+        if sym in grammar.terminals:
+            return out | {sym}, False
+        out |= first[sym]
+        if sym not in nullable:
+            return out, False
+    return out, True
 
 
 @pytest.mark.parametrize("text", [G0_TEXT, G1_TEXT, G2_TEXT, Q1_TEXT])
 def test_table_invariant_cell_by_cell(text):
     g = parse_grammar(text)
     table = build_parse_table(g)
-    nullable, first, follow = brute_tables(g)
-
-    def seq_first(rhs):
-        out = set()
-        for sym in rhs:
-            if sym in g.terminals:
-                out.add(sym)
-                return out, False
-            out |= first[sym]
-            if sym not in nullable:
-                return out, False
-        return out, True
-
+    nullable, first = brute_tables(g)
     for a in g.nonterminals:
         for t in g.terminals:
-            expected = set()
-            for p in g.alternatives[a]:
-                fs, seq_nullable = seq_first(p.rhs)
-                if t in fs or (seq_nullable and t in follow[a]):
-                    expected.add((p.index, 0))
+            expected = {
+                (p.index, 0)
+                for p in g.alternatives[a]
+                if t in brute_first_of(g, p.rhs, nullable, first)[0]
+            }
             assert {s.key for s in table.cell(a, t)} == expected, (a, t)
+
+
+def test_prediction_matches_brute_force():
+    """The engine predicts an alternative at a vertex iff its FIRST set meets
+    the vertex's out-labels or it derives the empty word."""
+    rng = random.Random(31337)
+    for _ in range(40):
+        g = random_grammar(rng)
+        nullable, first = brute_tables(g, max_length=8)
+        graph = random_graph(rng, max_vertices=6, labels="abc")
+        graph.touch_vertex(graph.vertex_count)  # a sink with no out-edges
+        engine = QueryEngine(graph, g)
+        for v in graph.vertices():
+            out_labels = set(graph.adjacency.get(v, ()))
+            for a in g.nonterminals:
+                expected = set()
+                for p in g.alternatives[a]:
+                    rhs_first, rhs_nullable = brute_first_of(g, p.rhs, nullable, first)
+                    if rhs_first & out_labels or rhs_nullable:
+                        expected.add((p.index, 0))
+                assert {s.key for s in engine._predict(a, v)} == expected, (a, v)

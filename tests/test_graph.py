@@ -131,7 +131,7 @@ class TestLoadNtriples:
     def test_labels_closed_under_inverse_involution(self):
         text = "<a> <p> <b> .\n<b> <q> <c> .\n<a> <q> <c> ."
         g = load_ntriples(text, inverse_suffix="_r")
-        labels = g.labels()
+        labels = {label for _, label, _ in g.edges()}
         for label in labels:
             partner = label[: -len("_r")] if label.endswith("_r") else label + "_r"
             assert partner in labels

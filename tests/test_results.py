@@ -56,6 +56,28 @@ class TestReachablePairs:
         assert "S\t0\t3" in lines
 
 
+class TestAnswersRespectStartsAndFinals:
+    def test_roots_and_triples_equal_the_oracle_slice(self, g0, g1, g2):
+        grammars = [g0, g1, g2, parse_grammar("S -> A S\nS -> a\nA -> eps\nA -> A A")]
+        rng = random.Random(4242)
+        for grammar in grammars:
+            for _ in range(15):
+                graph = random_graph(rng, max_vertices=7, labels="ab")
+                vertices = list(graph.vertices())
+                starts = set(rng.sample(vertices, rng.randint(1, len(vertices))))
+                finals = set(rng.sample(vertices, rng.randint(1, len(vertices))))
+                expected = {
+                    (u, v)
+                    for u, v in hellings_slice(graph, grammar, "S")
+                    if u in starts and v in finals
+                }
+                result = run_checked(graph, grammar, starts, finals)
+                assert result.root_pairs() == expected
+                assert format_triples(result).splitlines() == sorted(
+                    f"S\t{u}\t{v}" for u, v in expected
+                )
+
+
 class TestEnumeratePaths:
     def test_first_path_is_the_shortest(self, graph_m, g1):
         result = run_checked(graph_m, g1, starts={0})

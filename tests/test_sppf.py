@@ -6,8 +6,8 @@ from conftest import linear_graph, run_checked
 
 def test_terminal_node_interning(g1):
     sp = Sppf(g1)
-    first = sp.get_node_t((0, "a", 1))
-    second = sp.get_node_t((0, "a", 1))
+    first = sp.terminal_node(0, "a", 1)
+    second = sp.terminal_node(0, "a", 1)
     assert first is second
     assert (first.left, first.label, first.right) == (0, "a", 1)
     assert sp.stats().terminal == 1
@@ -22,7 +22,7 @@ def test_epsilon_node_extension(g1):
 
 def test_pass_through_returns_right_unchanged(g1):
     sp = Sppf(g1)
-    right = sp.get_node_t((0, "a", 1))
+    right = sp.terminal_node(0, "a", 1)
     # dot just after the leading terminal of S -> a S b, more symbols pending
     assert sp.get_node_p(g1.slot(0, 1), DUMMY, right) is right
     assert sp.stats().nonterminal == 0
@@ -36,7 +36,7 @@ def test_completed_production_builds_nonterminal_node(g1, graph_m):
         n for n in sp.nodes()
         if n.kind == "intermediate" and (n.left, n.right) == (0, 0) and n.label.key == (0, 2)
     )
-    t03 = sp.get_node_t((0, "b", 3))
+    t03 = sp.terminal_node(0, "b", 3)
     before = sp.stats()
     parent = sp.get_node_p(g1.slot(0, 3), intermediate, t03)
     assert parent is sp.nonterminal_node("S", 0, 3)
