@@ -6,6 +6,13 @@ suspended configuration (slot, stack node, vertex, forest node); each is
 processed exactly once.  Input positions are graph vertices, so consuming a
 terminal fans out over all matching out-edges, and the run starts from every
 requested start vertex at once.
+
+Stack nodes are keyed by (nonterminal, vertex), one per call of a
+nonterminal at a vertex, and the caller's return slot sits on the stack
+edge (Afroozeh & Izmaylova, "Faster, Practical GLL Parsing", CC 2015).  So a
+callee's body runs once per call vertex, however many call sites reach it.
+A start vertex seeds the ordinary node of the start symbol there, which an
+inner call of the start symbol at that vertex shares.
 """
 
 from __future__ import annotations
@@ -21,41 +28,30 @@ from .sppf import DUMMY, Sppf
 
 
 class GssNode:
-    """A merged-stack node keyed by (return slot, vertex); ``slot is None``
-    marks the bottom node of a start vertex, which never pops."""
+    """A merged-stack node keyed by (nonterminal, vertex).
 
-    __slots__ = ("slot", "index", "edges", "_edge_keys", "pops", "_pop_keys")
+    ``edges`` holds one ``(return_slot, sppf_node, caller)`` entry per
+    distinct caller: where to resume, the forest node parsed before the
+    call, and the caller's stack node.  ``pops`` holds each forest node the
+    call has returned, for replay to callers attached later.  Both are
+    insertion-ordered dicts used as sets.  A node with no edges (the start
+    symbol at a start vertex) records its pops and resumes nobody.
+    """
 
-    def __init__(self, slot: GrammarSlot | None, index: int):
-        self.slot = slot
+    __slots__ = ("nonterminal", "index", "edges", "pops")
+
+    def __init__(self, nonterminal: str, index: int):
+        self.nonterminal = nonterminal
         self.index = index
-        self.edges: list[tuple[object, GssNode]] = []
-        self._edge_keys: set[tuple[int, int]] = set()
-        self.pops: list[object] = []
-        self._pop_keys: set[int] = set()
+        self.edges: dict[tuple[GrammarSlot, object, GssNode], None] = {}
+        self.pops: dict[object, None] = {}
 
     @property
     def key(self):
-        return (self.slot.key if self.slot is not None else None, self.index)
-
-    def add_out_edge(self, sppf_node, target: GssNode) -> bool:
-        ekey = (id(sppf_node), id(target))
-        if ekey in self._edge_keys:
-            return False
-        self._edge_keys.add(ekey)
-        self.edges.append((sppf_node, target))
-        return True
-
-    def record_pop(self, sppf_node) -> bool:
-        pkey = id(sppf_node)
-        if pkey in self._pop_keys:
-            return False
-        self._pop_keys.add(pkey)
-        self.pops.append(sppf_node)
-        return True
+        return (self.nonterminal, self.index)
 
     def __repr__(self) -> str:
-        return f"gss({self.slot!r}, {self.index})"
+        return f"gss({self.nonterminal}, {self.index})"
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,8 @@ class QueryEngine:
         self.graph = graph
         self.grammar = grammar
         self.table = table if table is not None else grammar.parse_table
-        vertices = range(graph.vertex_count)
-        self.start_vertices = frozenset(vertices if start_vertices is None else start_vertices)
-        self.final_vertices = frozenset(vertices if final_vertices is None else final_vertices)
-        for v in self.start_vertices | self.final_vertices:
-            if not 0 <= v < graph.vertex_count:
-                raise ValueError(f"vertex {v} outside the graph")
+        self.start_vertices = _vertex_set(start_vertices, graph.vertex_count)
+        self.final_vertices = _vertex_set(final_vertices, graph.vertex_count)
         self.sppf = Sppf(grammar)
         self._worklist = worklist
         self._pending: deque = deque()
@@ -117,18 +109,19 @@ class QueryEngine:
             skey = sppf_node.key if sppf_node is not DUMMY else "$"
             self._descriptor_keys.append((slot.key, stack.key, vertex, skey))
 
-    def _gss_node(self, slot: GrammarSlot | None, vertex: int) -> GssNode:
-        key = (slot.key if slot is not None else None, vertex)
+    def _gss_node(self, nonterminal: str, vertex: int) -> GssNode:
+        key = (nonterminal, vertex)
         node = self._gss.get(key)
         if node is None:
-            node = self._gss[key] = GssNode(slot, vertex)
+            node = self._gss[key] = GssNode(nonterminal, vertex)
         return node
 
     def _seed(self) -> None:
+        start = self.grammar.start
         for vertex in sorted(self.start_vertices):
-            bottom = self._gss_node(None, vertex)
-            for slot in self._predict(self.grammar.start, vertex):
-                self.add(slot, bottom, vertex, DUMMY)
+            node = self._gss_node(start, vertex)
+            for slot in self._predict(start, vertex):
+                self.add(slot, node, vertex, DUMMY)
 
     def _predict(self, nonterminal: str, vertex: int) -> tuple[GrammarSlot, ...]:
         """Candidate initial slots: table cells of the outgoing edge labels,
@@ -150,10 +143,14 @@ class QueryEngine:
     # -- the three stack primitives -------------------------------------------
 
     def create(self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node) -> GssNode:
-        """Intern the stack node (return_slot, vertex) and attach the caller;
-        a new stack edge replays every pop already recorded on the node."""
-        node = self._gss_node(return_slot, vertex)
-        if node.add_out_edge(sppf_node, stack):
+        """Intern the stack node of the nonterminal called before
+        ``return_slot`` at ``vertex`` and attach the caller; a new stack edge
+        replays every pop already recorded on the node."""
+        callee = return_slot.production.rhs[return_slot.dot - 1]
+        node = self._gss_node(callee, vertex)
+        edge = (return_slot, sppf_node, stack)
+        if edge not in node.edges:
+            node.edges[edge] = None
             self._gss_edges += 1
             for popped in node.pops:
                 combined = self.sppf.get_node_p(return_slot, sppf_node, popped)
@@ -162,13 +159,12 @@ class QueryEngine:
 
     def pop(self, stack: GssNode, vertex: int, sppf_node) -> None:
         """Record the pop and resume every caller attached to the node."""
-        if stack.slot is None:
+        if sppf_node in stack.pops:
             return
-        if not stack.record_pop(sppf_node):
-            return
-        for edge_sppf, target in stack.edges:
-            combined = self.sppf.get_node_p(stack.slot, edge_sppf, sppf_node)
-            self.add(stack.slot, target, vertex, combined)
+        stack.pops[sppf_node] = None
+        for return_slot, edge_sppf, caller in stack.edges:
+            combined = self.sppf.get_node_p(return_slot, edge_sppf, sppf_node)
+            self.add(return_slot, caller, vertex, combined)
 
     # -- descriptor dispatch ----------------------------------------------------
 
@@ -226,6 +222,17 @@ class QueryEngine:
         )
 
 
+def _vertex_set(vertices: Iterable[int] | None, vertex_count: int) -> frozenset[int] | range:
+    """All vertices by default, else the given ones, each checked to exist."""
+    if vertices is None:
+        return range(vertex_count)
+    chosen = frozenset(vertices)
+    for v in chosen:
+        if not 0 <= v < vertex_count:
+            raise ValueError(f"vertex {v} outside the graph")
+    return chosen
+
+
 def run_query(
     graph: Graph,
     grammar: Grammar,
@@ -270,6 +277,7 @@ def size_audit(result: QueryResult) -> list[BoundCheck]:
     vertex_count = result.graph.vertex_count
     stats = result.sppf.stats()
     slot_count = len(g.slots())
+    called = {g.start} | {s for p in g.productions for s in p.rhs if s in g.nonterminals}
     return [
         BoundCheck("terminal nodes <= |E|", stats.terminal, result.graph.edge_count),
         BoundCheck("epsilon nodes <= |V|", stats.epsilon, vertex_count),
@@ -289,13 +297,13 @@ def size_audit(result: QueryResult) -> list[BoundCheck]:
             (len(g.productions) + slot_count) * vertex_count**3,
         ),
         BoundCheck(
-            "stack nodes <= (#return-slots+1)*|V|",
+            "stack nodes <= |start and right-hand-side nonterminals|*|V|",
             result.engine.gss_nodes,
-            (g.return_slot_count + 1) * vertex_count,
+            len(called) * vertex_count,
         ),
         BoundCheck(
-            "stack edges <= (stack nodes)^2",
+            "stack edges <= #return-slots*|V|^2",
             result.engine.gss_edges,
-            result.engine.gss_nodes**2,
+            g.return_slot_count * vertex_count**2,
         ),
     ]

@@ -50,8 +50,8 @@ class QueryResult:
     roots: tuple
     grammar: Grammar
     graph: Graph
-    start_vertices: frozenset[int]
-    final_vertices: frozenset[int]
+    start_vertices: frozenset[int] | range  # range: all vertices (the default)
+    final_vertices: frozenset[int] | range
     engine: EngineStats
     descriptor_keys: tuple | None = None
 

@@ -90,14 +90,6 @@ class _ParentNode:
         self.right = right
         self._packed: dict[tuple[int, int], PackedNode] = {}
 
-    def add_packed(self, production: int, pivot: int, left_child, right_child) -> bool:
-        """Attach a derivation alternative; returns False if already present."""
-        key = (production, pivot)
-        if key in self._packed:
-            return False
-        self._packed[key] = PackedNode(production, pivot, left_child, right_child)
-        return True
-
     @property
     def children(self) -> tuple[PackedNode, ...]:
         return tuple(self._packed[k] for k in sorted(self._packed))
@@ -202,12 +194,9 @@ class Sppf:
             parent = self._intermediate.get(ikey)
             if parent is None:
                 parent = self._intermediate[ikey] = IntermediateNode(slot, left_extent, right_extent)
-        if parent.add_packed(
-            slot.production.index,
-            pivot,
-            left if left is not DUMMY else None,
-            right,
-        ):
+        pkey = (slot.production.index, pivot)
+        if pkey not in parent._packed:
+            parent._packed[pkey] = PackedNode(*pkey, left if left is not DUMMY else None, right)
             self._packed_count += 1
         return parent
 

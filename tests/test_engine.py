@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from cfpq.engine import QueryEngine, run_query, size_audit
-from cfpq.grammar import build_parse_table, parse_grammar
+from cfpq.grammar import Grammar, build_parse_table, parse_grammar
 from cfpq.graph import Graph, complete_graph, load_tsv
-from cfpq.oracle import hellings_slice
+from cfpq.oracle import hellings_pairs, hellings_slice
 from cfpq.results import reachable_pairs
-from cfpq.sppf import DUMMY
+from cfpq.sppf import DUMMY, export_json
 from conftest import M_TSV, linear_graph, random_graph, run_checked, run_recording_dispatches
 
 
@@ -18,80 +19,91 @@ def fresh_engine(graph_m, g1):
     return QueryEngine(graph_m, g1, start_vertices={0})
 
 
+def two_call_sites_engine():
+    # A is called at vertex 0 from two return slots of S: S -> A . b, S -> A . c
+    grammar = parse_grammar("S -> A b\nS -> A c\nA -> a")
+    return QueryEngine(linear_graph("ab"), grammar, start_vertices={0}), grammar
+
+
 class TestAdd:
     def test_fresh_descriptor_enters_both_sets(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         seen, pending = len(eng._seen), len(eng._pending)
-        bottom = eng._gss_node(None, 0)
-        eng.add(g1.slot(2, 0), bottom, 0, DUMMY)
+        start = eng._gss_node("S", 0)
+        eng.add(g1.slot(2, 0), start, 0, DUMMY)
         assert (len(eng._seen), len(eng._pending)) == (seen + 1, pending + 1)
 
     def test_duplicate_descriptor_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
-        eng.add(g1.slot(2, 0), bottom, 0, DUMMY)
+        start = eng._gss_node("S", 0)
+        eng.add(g1.slot(2, 0), start, 0, DUMMY)
         seen, pending = len(eng._seen), len(eng._pending)
-        eng.add(g1.slot(2, 0), bottom, 0, DUMMY)
+        eng.add(g1.slot(2, 0), start, 0, DUMMY)
         assert (len(eng._seen), len(eng._pending)) == (seen, pending)
 
     def test_descriptors_differing_only_in_vertex_are_kept(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
-        eng.add(g1.slot(2, 0), bottom, 0, DUMMY)
+        start = eng._gss_node("S", 0)
+        eng.add(g1.slot(2, 0), start, 0, DUMMY)
         seen = len(eng._seen)
-        eng.add(g1.slot(2, 0), bottom, 1, DUMMY)
+        eng.add(g1.slot(2, 0), start, 1, DUMMY)
         assert len(eng._seen) == seen + 1
 
 
 class TestPop:
-    def test_pop_on_bottom_node_is_noop(self, graph_m, g1):
+    def test_pop_without_callers_is_replayed_to_later_callers(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
+        start = eng._gss_node("S", 0)  # seeded, but no caller attached
         pending = len(eng._pending)
-        eng.pop(bottom, 0, eng.sppf.terminal_node(0, "a", 1))
-        assert len(eng._pending) == pending
-        assert not bottom.pops
-
-    def test_pop_offers_one_descriptor_per_stack_edge(self, graph_m, g1):
-        eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
-        other = eng._gss_node(g1.slot(0, 2), 0)
-        node = eng.create(g1.slot(1, 1), bottom, 0, DUMMY)
-        eng.create(g1.slot(1, 1), other, 0, DUMMY)
-        assert len(node.edges) == 2
-        pending = len(eng._pending)
-        # a completed Middle spanning (0, 3) resumes both callers
         middle = eng.sppf.get_node_p(
             g1.slot(2, 2),
             eng.sppf.terminal_node(0, "a", 1),
             eng.sppf.terminal_node(1, "b", 3),
         )
-        eng.pop(node, 3, middle)
+        completed = eng.sppf.get_node_p(g1.slot(1, 1), DUMMY, middle)  # S spanning (0, 3)
+        eng.pop(start, 3, completed)
+        assert len(eng._pending) == pending
+        assert list(start.pops) == [completed]
+        # S -> a S . b after the edge (2, a, 0) calls S at 0: the start node
+        returned = eng.create(
+            g1.slot(0, 2), eng._gss_node("S", 2), 0, eng.sppf.terminal_node(2, "a", 0)
+        )
+        assert returned is start
+        (descriptor,) = list(eng._pending)[pending:]
+        slot, stack, vertex, sppf_node = descriptor
+        assert (slot, stack.key, vertex) == (g1.slot(0, 2), ("S", 2), 3)
+        assert (sppf_node.left, sppf_node.right) == (2, 3)
+
+    def test_pop_offers_one_descriptor_per_stack_edge(self):
+        eng, grammar = two_call_sites_engine()
+        start = eng._gss_node("S", 0)
+        node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
+        assert eng.create(grammar.slot(1, 1), start, 0, DUMMY) is node
+        assert node.key == ("A", 0) and len(node.edges) == 2
+        pending = len(eng._pending)
+        # a completed A spanning (0, 1) resumes both return slots
+        completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))
+        eng.pop(node, 1, completed)
         assert len(eng._pending) == pending + 2
 
-    def test_create_after_pop_replays_recorded_result(self, graph_m, g1):
-        eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
-        node = eng.create(g1.slot(1, 1), bottom, 0, DUMMY)
-        middle = eng.sppf.get_node_p(
-            g1.slot(2, 2),
-            eng.sppf.terminal_node(0, "a", 1),
-            eng.sppf.terminal_node(1, "b", 3),
-        )
-        eng.pop(node, 3, middle)
-        late_caller = eng._gss_node(g1.slot(0, 2), 0)
+    def test_create_after_pop_replays_recorded_result(self):
+        eng, grammar = two_call_sites_engine()
+        start = eng._gss_node("S", 0)
+        node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
+        completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))
+        eng.pop(node, 1, completed)
         pending = len(eng._pending)
-        returned = eng.create(g1.slot(1, 1), late_caller, 0, DUMMY)
-        assert returned is node  # interned on (slot, vertex)
-        assert len(eng._pending) == pending + 1  # the pop replayed for the late caller
+        returned = eng.create(grammar.slot(1, 1), start, 0, DUMMY)
+        assert returned is node  # interned on (nonterminal, vertex)
+        assert len(eng._pending) == pending + 1  # the pop replayed for the late return slot
 
 
 class TestProcessing:
     def test_terminal_step_offers_descriptor_at_edge_target(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
+        start = eng._gss_node("S", 0)
         eng._pending.clear()
-        eng.processing((g1.slot(0, 0), bottom, 0, DUMMY))
+        eng.processing((g1.slot(0, 0), start, 0, DUMMY))
         (descriptor,) = eng._pending
         slot, stack, vertex, sppf_node = descriptor
         assert slot is g1.slot(0, 1) and vertex == 1
@@ -99,9 +111,9 @@ class TestProcessing:
 
     def test_terminal_step_with_no_matching_edge_offers_nothing(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        bottom = eng._gss_node(None, 0)
+        start = eng._gss_node("S", 0)
         eng._pending.clear()
-        eng.processing((g1.slot(0, 0), bottom, 3, DUMMY))  # no a-edge out of 3
+        eng.processing((g1.slot(0, 0), start, 3, DUMMY))  # no a-edge out of 3
         assert not eng._pending
 
     def test_nonterminal_step_predicts_table_cells(self, graph_m, g1):
@@ -132,6 +144,20 @@ class TestRunQuery:
     def test_vertex_validation(self, graph_m, g1):
         with pytest.raises(ValueError):
             run_query(graph_m, g1, {99})
+
+    @pytest.mark.parametrize(
+        "starts, finals", [({0}, {99}), ({0}, {-1}), ({0}, {0, 4}), ({-1}, None)]
+    )
+    def test_explicit_vertex_sets_are_validated(self, graph_m, g1, starts, finals):
+        with pytest.raises(ValueError, match="outside the graph"):
+            run_query(graph_m, g1, starts, finals)
+
+    def test_default_sets_cover_isolated_top_vertex(self, g0):
+        graph = Graph(vertex_count=5)
+        graph.add_edge(0, "a", 1)
+        result = run_checked(graph, g0)
+        assert 4 in result.start_vertices and 4 in result.final_vertices
+        assert result.root_pairs() == {(v, v) for v in range(5)}
 
     def test_single_terminal_production(self):
         g = parse_grammar("S -> a")
@@ -192,38 +218,36 @@ class TestLookaheadIsOnlyAnOptimization:
             assert fast.root_pairs() == blind.root_pairs()
 
 
+def random_grammar(rng: random.Random) -> Grammar:
+    nts = ["S", "A", "B"][: rng.randint(1, 3)]
+    ts = ["a", "b", "c"][: rng.randint(1, 3)]
+    rules = []
+    for lhs in nts:
+        for _ in range(rng.randint(1, 3)):
+            length = rng.choice([0, 1, 1, 2, 2, 3, 4])
+            rules.append((lhs, tuple(rng.choice(nts + ts) for _ in range(length))))
+    if not any(lhs == "S" for lhs, _ in rules):
+        rules.append(("S", ()))
+    return Grammar(rules, start="S")
+
+
+def random_abc_graph(rng: random.Random) -> Graph:
+    n = rng.randint(1, 7)
+    graph = Graph(vertex_count=n)
+    density = rng.uniform(0.1, 0.7)
+    for u in range(n):
+        for v in range(n):
+            for label in "abc":
+                if rng.random() < density:
+                    graph.add_edge(u, label, v)
+    return graph
+
+
 def test_random_grammars_against_the_oracle():
-    from cfpq.grammar import Grammar
-    from cfpq.oracle import hellings_pairs
-
     rng = random.Random(123456)
-
-    def make_grammar():
-        nts = ["S", "A", "B"][: rng.randint(1, 3)]
-        ts = ["a", "b", "c"][: rng.randint(1, 3)]
-        rules = []
-        for lhs in nts:
-            for _ in range(rng.randint(1, 3)):
-                length = rng.choice([0, 1, 1, 2, 2, 3, 4])
-                rules.append((lhs, tuple(rng.choice(nts + ts) for _ in range(length))))
-        if not any(lhs == "S" for lhs, _ in rules):
-            rules.append(("S", ()))
-        return Grammar(rules, start="S")
-
-    def make_graph():
-        n = rng.randint(1, 7)
-        graph = Graph(vertex_count=n)
-        density = rng.uniform(0.1, 0.7)
-        for u in range(n):
-            for v in range(n):
-                for label in "abc":
-                    if rng.random() < density:
-                        graph.add_edge(u, label, v)
-        return graph
-
     for _ in range(60):
-        grammar = make_grammar()
-        graph = make_graph()
+        grammar = random_grammar(rng)
+        graph = random_abc_graph(rng)
         result = run_checked(graph, grammar)
         facts = hellings_pairs(graph, grammar)
         for nt in grammar.nonterminals:
@@ -235,6 +259,61 @@ def test_random_grammars_against_the_oracle():
                 # non-start nonterminals appear only where some derivation
                 # from the start actually predicted them
                 assert engine <= oracle
+
+
+class TestCallSiteSharing:
+    """One stack node per (nonterminal, vertex), whatever the call sites."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_stack_node_per_vertex_on_complete_graphs(self, g0, n):
+        # g0 calls S from three return slots, and the start vertices seed S too
+        result = run_checked(complete_graph(n, "ab"), g0, record_descriptors=True)
+        assert result.engine.gss_nodes == n
+        initial = {slot.key for slot in g0.initial_slots["S"]}
+        seeded = [
+            (slot_key, vertex)
+            for slot_key, stack_key, vertex, sppf_key in result.descriptor_keys
+            if slot_key in initial and sppf_key == "$"
+        ]
+        assert sorted(seeded) == sorted((key, v) for key in initial for v in range(n))
+
+    def test_stack_bounds_within_the_slot_keyed_bounds(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            grammar = random_grammar(rng)
+            graph = random_abc_graph(rng)
+            result = run_checked(graph, grammar)
+            n = graph.vertex_count
+            rows = {c.name.split(" <=")[0]: c for c in size_audit(result)}
+            assert rows["stack nodes"].bound <= (grammar.return_slot_count + 1) * n
+            assert rows["stack edges"].bound <= ((grammar.return_slot_count + 1) * n) ** 2
+
+
+# sha256 of export_json(result.sppf), the whole forest, all vertices to all.
+FOREST_DIGESTS = {
+    ("g0", "M"): "f75c587f3a75e9b69c784d1dea71894b518720947a3f519be95496a4a6eb10ad",
+    ("g0", "K5"): "2ef9b1a915a207c941284fd72443e02304b4c02283a0f226fea93c048d55d9dc",
+    ("g0", "random"): "e89bd3dc857437a298bbafef0438533be163168a9c514903fcde0a67fa1f7bd2",
+    ("g1", "M"): "1eec77e293c1321d1e594168070bfa81e09fbdc216d342d427f8abcb2b664575",
+    ("g1", "K5"): "64b575b93656bc7055a9288698d326e83b360f86e6532202f2b034f20b6faa3f",
+    ("g1", "random"): "ef86a2276aae884fa06ac662c544b07a4e292858ab943b1999b4c767cfb29558",
+    ("g2", "M"): "19bb187a713eb3010fd27b9e2aa599241cc618bf7defdf5bb60e10d1f4dd2d8b",
+    ("g2", "K5"): "29db529f070a420c4d58a4bf5cba272da1095fe60745f58004363ce836103ab7",
+    ("g2", "random"): "138d631e7e5d3d5e38cee9c4313e937abe621f5ca40242ab426534fda11a6153",
+}
+
+
+@pytest.mark.parametrize("grammar_id, graph_id", sorted(FOREST_DIGESTS))
+def test_forest_is_pinned(request, grammar_id, graph_id):
+    """Engine changes must not change the forest the paper defines."""
+    graph = {
+        "M": lambda: load_tsv(M_TSV),
+        "K5": lambda: complete_graph(5, "ab"),
+        "random": lambda: random_graph(random.Random(2024), max_vertices=6, labels="ab"),
+    }[graph_id]()
+    result = run_checked(graph, request.getfixturevalue(grammar_id))
+    digest = hashlib.sha256(export_json(result.sppf).encode()).hexdigest()
+    assert digest == FOREST_DIGESTS[grammar_id, graph_id]
 
 
 def test_descriptor_extension_invariant_holds(graph_m, g1):
