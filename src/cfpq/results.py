@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .grammar import Grammar
 from .graph import Graph, Path
-from .sppf import Sppf, SppfNode
+from .sppf import Sppf, SppfNode, _reachable
 
 if TYPE_CHECKING:
     from .engine import EngineStats
@@ -283,16 +283,7 @@ def enumerate_paths(
 def extract_subgraph(result: QueryResult) -> Graph:
     """The subgraph of input edges on paths matched by some accepted root."""
     subgraph = result.graph.copy_vertices()
-    seen: set[int] = set()
-    stack: list = list(result.roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kind = node.kind
-        if kind == "terminal":
-            subgraph.add_edge(node.left, node.label, node.right)
-        elif kind == "packed" or kind in ("nonterminal", "intermediate"):
-            stack.extend(node.children)
+    terminals = (n for n in _reachable(result.roots) if n.kind == "terminal")
+    for edge in sorted((n.left, n.label, n.right) for n in terminals):
+        subgraph.add_edge(*edge)
     return subgraph

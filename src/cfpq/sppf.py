@@ -4,6 +4,12 @@ Non-packed nodes carry an extension (start vertex, end vertex) and are
 interned per label + extension; packed nodes hang under nonterminal or
 intermediate parents, one per (production, pivot vertex).  A parent with two
 or more packed children marks an ambiguity.
+
+Exports number non-packed nodes first, by kind (terminal, epsilon,
+nonterminal, intermediate), then by key; packed nodes follow in parent order,
+and in (production, pivot) order under one parent.  Edges are sorted by
+(source id, target id), so a packed node's children are not listed left
+first: the left child is the one whose ``right`` is the other's ``left``.
 """
 
 from __future__ import annotations
@@ -222,11 +228,13 @@ class Sppf:
             yield from parent.children
 
     def stats(self) -> SppfStats:
-        edges = 0
-        for store in (self._nonterminal, self._intermediate):
-            for node in store.values():
-                for packed in node.children:
-                    edges += 1 + len(packed.children)
+        # parent -> packed, packed -> right child, and packed -> left child if any
+        edges = 2 * self._packed_count + sum(
+            packed.left_child is not None
+            for store in (self._nonterminal, self._intermediate)
+            for node in store.values()
+            for packed in node._packed.values()
+        )
         counts = (
             len(self._terminal),
             len(self._epsilon),
@@ -240,17 +248,19 @@ class Sppf:
 # -- serialization --------------------------------------------------------------
 
 
-def _reachable(roots: Iterable[SppfNode]) -> list[SppfNode]:
-    seen: dict[int, SppfNode] = {}
-    stack = list(roots)
+def _reachable(roots: Iterable[SppfNode]) -> set[SppfNode]:
+    """The non-packed nodes reachable from ``roots``, roots included."""
+    seen = set(roots)
+    stack = list(seen)
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        if isinstance(node, (_ParentNode, PackedNode)):
-            stack.extend(node.children)
-    return list(seen.values())
+        if isinstance(node, _ParentNode):
+            for packed in node._packed.values():
+                for child in (packed.left_child, packed.right_child):
+                    if child not in seen and child is not None:
+                        seen.add(child)
+                        stack.append(child)
+    return seen
 
 
 _KIND_RANK = {"terminal": 0, "epsilon": 1, "nonterminal": 2, "intermediate": 3}
@@ -261,40 +271,39 @@ def _sort_key(node: SppfNode):
 
 
 def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
-    """Assign deterministic ids and collect parent->child edges for export."""
+    """Number the exported nodes (see the module docstring) and list their
+    edges, already sorted: parents come in id order and every packed id is
+    larger than every non-packed id.  Repeated edges are kept."""
     if roots is None:
-        pool = [n for n in sppf.nodes() if n.kind != "packed"]
+        stores = (sppf._terminal, sppf._epsilon, sppf._nonterminal, sppf._intermediate)
+        pool = [node for store in stores for node in store.values()]
     else:
-        pool = [n for n in _reachable(roots) if n.kind != "packed"]
+        pool = list(_reachable(roots))
     pool.sort(key=_sort_key)
-    ids: dict[int, int] = {}
-    ordered: list[SppfNode] = []
-
-    def assign(node: SppfNode) -> int:
-        nid = ids.get(id(node))
-        if nid is None:
-            nid = ids[id(node)] = len(ordered)
-            ordered.append(node)
-        return nid
-
-    for node in pool:
-        assign(node)
+    ids = {node: nid for nid, node in enumerate(pool)}
+    ordered: list[SppfNode] = list(pool)
     edges: list[tuple[int, int]] = []
+    packed_edges: list[tuple[int, int]] = []
     for node in pool:
         if not isinstance(node, _ParentNode):
             continue
-        parent_id = ids[id(node)]
-        packed_children = node.children
-        if simplify and len(packed_children) == 1:
-            for child in packed_children[0].children:
-                edges.append((parent_id, assign(child)))
-            continue
-        for packed in packed_children:
-            pid = assign(packed)
-            edges.append((parent_id, pid))
-            for child in packed.children:
-                edges.append((pid, assign(child)))
-    return ordered, ids, edges
+        parent_id = ids[node]
+        lone = simplify and len(node._packed) == 1
+        for _, packed in sorted(node._packed.items()):
+            if lone:  # the parent takes the packed node's children
+                source, out = parent_id, edges
+            else:
+                source, out = len(ordered), packed_edges
+                ordered.append(packed)
+                edges.append((parent_id, source))
+            right = ids[packed.right_child]
+            if packed.left_child is not None:
+                left = ids[packed.left_child]
+                out.append((source, min(left, right)))
+                right = max(left, right)
+            out.append((source, right))
+    edges += packed_edges
+    return ordered, edges
 
 
 def _node_record(node: SppfNode, nid: int, verbose: bool) -> dict:
@@ -328,12 +337,12 @@ def export_json(
     indent: int | None = None,
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as JSON."""
-    ordered, _, edges = _layout(sppf, roots, simplify)
+    ordered, edges = _layout(sppf, roots, simplify)
     payload = {
         "nodes": [_node_record(n, i, verbose) for i, n in enumerate(ordered)],
-        "edges": sorted(edges),
+        "edges": edges,
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=indent, check_circular=False)
 
 
 _DOT_SHAPES = {"terminal": "box", "epsilon": "box", "intermediate": "box", "nonterminal": "oval"}
@@ -348,7 +357,7 @@ def export_dot(
 ) -> str:
     """Render the forest in DOT: boxes for terminal/intermediate nodes, ovals
     for nonterminals (filled when ambiguous), points for packed nodes."""
-    ordered, _, edges = _layout(sppf, roots, simplify)
+    ordered, edges = _layout(sppf, roots, simplify)
     lines = ["digraph sppf {"]
     for nid, node in enumerate(ordered):
         if node.kind == "packed":
@@ -362,7 +371,7 @@ def export_dot(
             if node.kind in ("nonterminal", "intermediate") and node.ambiguous:
                 attrs += ", style=filled"
         lines.append(f"  n{nid} [{attrs}];")
-    for parent, child in sorted(edges):
+    for parent, child in edges:
         lines.append(f"  n{parent} -> n{child};")
     lines.append("}")
     return "\n".join(lines) + "\n"
