@@ -7,12 +7,19 @@ processed exactly once.  Input positions are graph vertices, so consuming a
 terminal fans out over all matching out-edges, and the run starts from every
 requested start vertex at once.
 
+Forest nodes are integer ids into the :class:`~cfpq.sppf.Sppf` store, and
+``DUMMY = -1`` is the empty forest before anything matched, so descriptors
+and stack edges hold no forest objects; only the finished result hands out
+node views.
+
 Stack nodes are keyed by (nonterminal, vertex), one per call of a
 nonterminal at a vertex, and the caller's return slot sits on the stack
 edge (Afroozeh & Izmaylova, "Faster, Practical GLL Parsing", CC 2015).  So a
 callee's body runs once per call vertex, however many call sites reach it.
 A start vertex seeds the ordinary node of the start symbol there, which an
-inner call of the start symbol at that vertex shares.
+inner call of the start symbol at that vertex shares.  Every node of the
+start symbol that begins at a start vertex is popped at that shared node,
+so the accepted roots are read from its pops.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ class GssNode:
 
     ``edges`` holds one ``(return_slot, sppf_node, caller)`` entry per
     distinct caller: where to resume, the forest node parsed before the
-    call, and the caller's stack node.  ``pops`` holds each forest node the
-    call has returned, for replay to callers attached later.  Both are
-    insertion-ordered dicts used as sets.  A node with no edges (the start
-    symbol at a start vertex) records its pops and resumes nobody.
+    call, and the caller's stack node; it is an insertion-ordered dict used
+    as a set.  ``pops`` maps each forest node the call has returned to the
+    vertex it returned at, for replay to callers attached later.  A node
+    with no edges (the start symbol at a start vertex) records its pops and
+    resumes nobody.
     """
 
     __slots__ = ("nonterminal", "index", "edges", "pops")
@@ -43,8 +51,8 @@ class GssNode:
     def __init__(self, nonterminal: str, index: int):
         self.nonterminal = nonterminal
         self.index = index
-        self.edges: dict[tuple[GrammarSlot, object, GssNode], None] = {}
-        self.pops: dict[object, None] = {}
+        self.edges: dict[tuple[GrammarSlot, int, GssNode], None] = {}
+        self.pops: dict[int, int] = {}
 
     @property
     def key(self):
@@ -73,7 +81,6 @@ class QueryEngine:
         *,
         table: ParseTable | None = None,
         worklist: str = "lifo",
-        record_descriptors: bool = False,
     ):
         if worklist not in ("lifo", "fifo"):
             raise ValueError(f"unknown worklist order {worklist!r}")
@@ -89,25 +96,22 @@ class QueryEngine:
         self._gss: dict[tuple, GssNode] = {}
         self._gss_edges = 0
         self._predict_cache: dict[tuple[str, int], tuple[GrammarSlot, ...]] = {}
-        self._descriptor_keys: list[tuple] | None = [] if record_descriptors else None
         self._seed()
 
     # -- worklist ------------------------------------------------------------
 
-    def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node) -> None:
+    def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int) -> None:
         """Queue a descriptor unless an identical one was ever created."""
         descriptor = (slot, stack, vertex, sppf_node)
         if descriptor in self._seen:
             return
         # Every created forest node spans exactly (stack origin, current vertex).
-        assert sppf_node is DUMMY or (
-            sppf_node.left == stack.index and sppf_node.right == vertex
-        ), f"descriptor extension mismatch: {sppf_node!r} at {stack!r}, vertex {vertex}"
+        assert sppf_node == DUMMY or self.sppf.extent(sppf_node) == (stack.index, vertex), (
+            f"descriptor extension mismatch: {self.sppf.node(sppf_node)!r} at {stack!r}, "
+            f"vertex {vertex}"
+        )
         self._seen.add(descriptor)
         self._pending.append(descriptor)
-        if self._descriptor_keys is not None:
-            skey = sppf_node.key if sppf_node is not DUMMY else "$"
-            self._descriptor_keys.append((slot.key, stack.key, vertex, skey))
 
     def _gss_node(self, nonterminal: str, vertex: int) -> GssNode:
         key = (nonterminal, vertex)
@@ -142,7 +146,9 @@ class QueryEngine:
 
     # -- the three stack primitives -------------------------------------------
 
-    def create(self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node) -> GssNode:
+    def create(
+        self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int
+    ) -> GssNode:
         """Intern the stack node of the nonterminal called before
         ``return_slot`` at ``vertex`` and attach the caller; a new stack edge
         replays every pop already recorded on the node."""
@@ -152,16 +158,16 @@ class QueryEngine:
         if edge not in node.edges:
             node.edges[edge] = None
             self._gss_edges += 1
-            for popped in node.pops:
+            for popped, right in node.pops.items():
                 combined = self.sppf.get_node_p(return_slot, sppf_node, popped)
-                self.add(return_slot, stack, popped.right, combined)
+                self.add(return_slot, stack, right, combined)
         return node
 
-    def pop(self, stack: GssNode, vertex: int, sppf_node) -> None:
+    def pop(self, stack: GssNode, vertex: int, sppf_node: int) -> None:
         """Record the pop and resume every caller attached to the node."""
         if sppf_node in stack.pops:
             return
-        stack.pops[sppf_node] = None
+        stack.pops[sppf_node] = vertex
         for return_slot, edge_sppf, caller in stack.edges:
             combined = self.sppf.get_node_p(return_slot, edge_sppf, sppf_node)
             self.add(return_slot, caller, vertex, combined)
@@ -173,7 +179,7 @@ class QueryEngine:
         slot, stack, vertex, current = descriptor
         symbol = slot.symbol
         if symbol is None:
-            if current is DUMMY:  # empty right-hand side
+            if current == DUMMY:  # empty right-hand side
                 current = self.sppf.get_node_p(slot, DUMMY, self.sppf.epsilon_node(vertex))
             self.pop(stack, vertex, current)
         elif slot.symbol_is_terminal:
@@ -196,12 +202,11 @@ class QueryEngine:
             processing(pop_next())
         start = self.grammar.start
         roots = sorted(
-            (
-                node
-                for node in self.sppf.nonterminal_nodes(start)
-                if node.left in self.start_vertices and node.right in self.final_vertices
-            ),
-            key=lambda n: (n.left, n.right),
+            (vertex, right, popped)
+            for vertex in self.start_vertices
+            if (stack := self._gss.get((start, vertex))) is not None
+            for popped, right in stack.pops.items()
+            if right in self.final_vertices
         )
         stats = EngineStats(
             descriptors=len(self._seen),
@@ -210,15 +215,12 @@ class QueryEngine:
         )
         return QueryResult(
             sppf=self.sppf,
-            roots=tuple(roots),
+            roots=tuple(self.sppf.node(popped) for _, _, popped in roots),
             grammar=self.grammar,
             graph=self.graph,
             start_vertices=self.start_vertices,
             final_vertices=self.final_vertices,
             engine=stats,
-            descriptor_keys=(
-                tuple(self._descriptor_keys) if self._descriptor_keys is not None else None
-            ),
         )
 
 
@@ -241,7 +243,6 @@ def run_query(
     *,
     table: ParseTable | None = None,
     worklist: str = "lifo",
-    record_descriptors: bool = False,
 ) -> QueryResult:
     """Run a context-free path query and return its result handle.
 
@@ -255,7 +256,6 @@ def run_query(
         final_vertices,
         table=table,
         worklist=worklist,
-        record_descriptors=record_descriptors,
     )
     return engine.run()
 

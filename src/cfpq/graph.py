@@ -165,7 +165,9 @@ def load_tsv(text: str) -> Graph:
 
     Lines starting with ``#`` and blank lines are ignored.  If every vertex
     column is numeric the numbers become ids directly; otherwise all vertices
-    are interned by first appearance.
+    are interned by first appearance.  Numeric ids may leave gaps, but none
+    may exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to
+    the largest id is part of the graph, and a default query visits them all.
     """
     rows: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,6 +192,14 @@ def load_tsv(text: str) -> Graph:
             graph.add_edge(int(source), label, int(target))
         else:
             graph.add_edge(graph._intern(source), label, graph._intern(target))
+    if numeric and graph.vertex_count > 2**20:  # below that, no id can exceed the limit
+        limit = 2**20 + 16 * len({int(v) for _, s, _, t in rows for v in (s, t)})
+        for lineno, source, _, target in rows:
+            if max(int(source), int(target)) > limit:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex id {max(int(source), int(target))} exceeds "
+                    f"{limit} (2**20 + 16 per distinct id)"
+                )
     return graph
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .grammar import Grammar
 from .graph import Graph, Path
-from .sppf import Sppf, SppfNode, _reachable
+from .sppf import DUMMY, Sppf, SppfNode, _reachable
 
 if TYPE_CHECKING:
     from .engine import EngineStats
@@ -47,13 +47,12 @@ class QueryResult:
     """Handle over a finished query: the forest, its accepted roots and sizes."""
 
     sppf: Sppf
-    roots: tuple
+    roots: tuple[SppfNode, ...]  # the accepted roots, by (left, right)
     grammar: Grammar
     graph: Graph
     start_vertices: frozenset[int] | range  # range: all vertices (the default)
     final_vertices: frozenset[int] | range
     engine: EngineStats
-    descriptor_keys: tuple | None = None
 
     @property
     def success(self) -> bool:
@@ -91,11 +90,12 @@ class _PathTables:
     """The ``k`` smallest edge sequences per (forest node, length), built one
     length at a time for the part of the forest below one root.
 
-    Nodes are numbered in DFS order and visited in post-order, so children
+    Nodes are the forest's store ids, visited in DFS post-order, so children
     come before parents except along the back edges of forest cycles.
     Packed nodes are folded into their parent as (left, right) alternatives;
-    a single-child alternative gets a virtual left child that derives only
-    the empty sequence.  ``masks[i]`` has bit L set when node i derives some
+    a single-child alternative gets a virtual left child, one past the
+    largest id below the root, that derives only the empty sequence.
+    ``masks[i]`` has bit L set when node i derives some
     sequence of exactly L edges, and ``rev[i]`` holds the same bits mirrored
     (bit ``max_length - L``), so the feasible splits of an alternative at
     length L are the set bits of ``masks[left] & (rev[right] >> (max_length -
@@ -106,30 +106,26 @@ class _PathTables:
     and those of one split lie within top-k(left) x top-k(right).
     """
 
-    def __init__(self, root: SppfNode, max_length: int, k: int) -> None:
+    def __init__(self, sppf: Sppf, root: int, max_length: int, k: int) -> None:
+        self.root = root
         self.max_length = max_length
         self.width = max_length + 1
         self.k = k
-        index: dict[int, int] = {}
-        nodes: list[SppfNode] = []
-        packs: list[tuple] = []
+        pairs: dict[int, tuple] = {}
         order: list[int] = []
-        stack: list = [root]
+        stack = [root]
         while stack:
             node = stack.pop()
-            if node is None:  # every child of the node below the marker is done
-                order.append(index[id(stack.pop())])
+            if node < 0:  # ~node: every child of the node is done
+                order.append(~node)
                 continue
-            if id(node) in index:
+            if node in pairs:
                 continue
-            index[id(node)] = len(nodes)
-            nodes.append(node)
-            children = () if node.kind in ("terminal", "epsilon") else node.children
-            packs.append(children)
-            stack += (node, None)
-            for packed in children:
-                stack.extend(packed.children)
-        empty = len(nodes)
+            pairs[node] = tuple(sppf.alternatives(node))
+            stack.append(~node)
+            for pair in pairs[node]:
+                stack.extend(child for child in pair if child != DUMMY)
+        empty = max(pairs) + 1
         position = [0] * empty
         for pos, i in enumerate(order):
             position[i] = pos
@@ -137,22 +133,20 @@ class _PathTables:
         self.rev = [0] * (empty + 1)
         self.table: dict[int, tuple] = {}
         self._leaf(empty, 0, ())
-        self.alts: list[tuple] = []
+        self.alts: list[tuple] = [()] * (empty + 1)
         self.parents: list[list[int]] = [[] for _ in range(empty + 1)]
         self.back: list[list[int]] = [[] for _ in range(empty + 1)]
-        for i, node in enumerate(nodes):
-            if node.kind == "terminal":
-                self._leaf(i, 1, ((node.left, node.label, node.right),))
-            elif node.kind == "epsilon":
-                self._leaf(i, 0, ())
-            alts = tuple(
-                (
-                    empty if packed.left_child is None else index[id(packed.left_child)],
-                    index[id(packed.right_child)],
-                )
-                for packed in packs[i]
+        for i, alternatives in pairs.items():
+            if not alternatives:  # a leaf: a terminal edge or the empty word
+                edge = sppf.terminal_edge(i)
+                if edge:
+                    self._leaf(i, 1, (edge,))
+                else:
+                    self._leaf(i, 0, ())
+                continue
+            alts = self.alts[i] = tuple(
+                (empty if left == DUMMY else left, right) for left, right in alternatives
             )
-            self.alts.append(alts)
             for child in {c for pair in alts for c in pair}:
                 self.parents[child].append(i)
                 if child != empty and position[i] < position[child]:
@@ -196,13 +190,13 @@ class _PathTables:
     def sequences(self, length: int) -> tuple:
         """The root's ``k`` smallest sequences of exactly ``length`` edges, sorted."""
         self._grow_masks(length)
-        if not self.masks[0] >> length & 1:  # the root is node 0
+        if not self.masks[self.root] >> length & 1:
             return ()
         table = self.table
         plans: dict[int, list] = {}
         parents: dict[int, set] = {}
         order: list[int] = []
-        stack = [length]
+        stack = [self.root * self.width + length]
         while stack:
             key = stack.pop()
             if key < 0:  # ~key: every child key is done
@@ -228,7 +222,7 @@ class _PathTables:
             if value != table[key]:
                 table[key] = value
                 pending.extend(parents.get(key, ()))
-        return table[length]
+        return table[self.root * self.width + length]
 
     def _plan(self, i: int, length: int) -> list[tuple[int, int]]:
         """The child keys of every feasible (alternative, split) of a key."""
@@ -270,7 +264,7 @@ def enumerate_paths(
     root = next((n for n in result.roots if (n.left, n.right) == (source, target)), None)
     if root is None:
         return
-    tables = _PathTables(root, limits.max_length, limits.max_paths)
+    tables = _PathTables(result.sppf, root.id, limits.max_length, limits.max_paths)
     emitted = 0
     for length in range(1, limits.max_length + 1):
         for edges in tables.sequences(length):
@@ -283,7 +277,8 @@ def enumerate_paths(
 def extract_subgraph(result: QueryResult) -> Graph:
     """The subgraph of input edges on paths matched by some accepted root."""
     subgraph = result.graph.copy_vertices()
-    terminals = (n for n in _reachable(result.roots) if n.kind == "terminal")
-    for edge in sorted((n.left, n.label, n.right) for n in terminals):
+    sppf = result.sppf
+    edges = (sppf.terminal_edge(nid) for nid in _reachable(sppf, (r.id for r in result.roots)))
+    for edge in sorted(edge for edge in edges if edge):
         subgraph.add_edge(*edge)
     return subgraph

@@ -1,143 +1,121 @@
-"""Binarized shared packed parse forest over graph vertices.
+"""Binarized shared packed parse forest over graph vertices, stored as integer ids.
 
-Non-packed nodes carry an extension (start vertex, end vertex) and are
-interned per label + extension; packed nodes hang under nonterminal or
-intermediate parents, one per (production, pivot vertex).  A parent with two
-or more packed children marks an ambiguity.
+A terminal, epsilon, nonterminal or intermediate node is one integer id,
+interned on its key, and carries an extension (start vertex, end vertex).
+The store has three parts:
 
-Exports number non-packed nodes first, by kind (terminal, epsilon,
-nonterminal, intermediate), then by key; packed nodes follow in parent order,
-and in (production, pivot) order under one parent.  Edges are sorted by
-(source id, target id), so a packed node's children are not listed left
-first: the left child is the one whose ``right`` is the other's ``left``.
+* ``_ids`` maps a key to its id;
+* ``_keys`` maps an id back to its key.  The key is ``(0, label, left,
+  right)`` for a terminal, ``(1, v, v)`` for the epsilon node at ``v``,
+  ``(2, label, left, right)`` for a nonterminal and ``(3, production, dot,
+  left, right)`` for an intermediate node, so its last two fields are the
+  extension and the keys sort in export order;
+* ``_packed`` holds, for a nonterminal or intermediate parent, its packed
+  nodes as ``{(production, pivot): (left id or DUMMY, right id)}``, and None
+  for a leaf.  A parent with two or more packed nodes marks an ambiguity.
+
+``DUMMY = -1`` is the absent left child, and in the engine the empty forest
+before anything matched.  The key layout stays inside this module: callers
+hold ids, call :class:`Sppf` methods, and read nodes through
+:class:`SppfNode` views made on demand.
+
+Exports number non-packed nodes first, in key order (by kind: terminal,
+epsilon, nonterminal, intermediate, then by the rest of the key); packed
+nodes follow in parent order, and in (production, pivot) order under one
+parent.  Edges are sorted by (source id, target id), so a packed node's
+children are not listed left first: the left child is the one whose
+``right`` is the other's ``left``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from itertools import chain
+from operator import countOf, itemgetter
+from typing import Iterable, Iterator
 
 from .grammar import Grammar, GrammarSlot
 
+DUMMY = -1
 
-class _Dummy:
-    """The absent-forest placeholder passed around before anything matched."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "$"
+_KINDS = ("terminal", "epsilon", "nonterminal", "intermediate")
 
 
-DUMMY = _Dummy()
+@dataclass(frozen=True, slots=True)
+class SppfNode:
+    """A view of one forest node, made on demand.
 
+    ``alternative`` is None for a terminal, epsilon, nonterminal or
+    intermediate node with store id ``id``; for a packed node it is the
+    ``(production, pivot)`` pair of that packed node under parent ``id``.
+    Two views are equal when they share store (the same object), id and
+    alternative, so compare views with ``==``, not ``is``.
+    """
 
-class TerminalNode:
-    kind = "terminal"
-    __slots__ = ("label", "left", "right")
-
-    def __init__(self, left: int, label: str, right: int):
-        self.label = label
-        self.left = left
-        self.right = right
+    sppf: Sppf
+    id: int
+    alternative: tuple[int, int] | None = None
 
     @property
-    def key(self):
-        return ("t", self.label, self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left}, {self.label}, {self.right})"
-
-
-class EpsilonNode:
-    kind = "epsilon"
-    __slots__ = ("left", "right")
-
-    def __init__(self, vertex: int):
-        self.left = vertex
-        self.right = vertex
+    def kind(self) -> str:
+        return "packed" if self.alternative else _KINDS[self.sppf._keys[self.id][0]]
 
     @property
-    def key(self):
-        return ("e", self.left)
-
-    def __repr__(self) -> str:
-        return f"({self.left}, eps, {self.right})"
-
-
-class PackedNode:
-    """One derivation alternative: (production, pivot) with up to two children."""
-
-    kind = "packed"
-    __slots__ = ("production", "pivot", "left_child", "right_child")
-
-    def __init__(self, production: int, pivot: int, left_child, right_child):
-        self.production = production
-        self.pivot = pivot
-        self.left_child = left_child
-        self.right_child = right_child
+    def left(self) -> int:
+        """Start vertex of the extension (of the parent, for a packed node)."""
+        return self.sppf._keys[self.id][-2]
 
     @property
-    def children(self) -> tuple:
-        if self.left_child is None:
-            return (self.right_child,)
-        return (self.left_child, self.right_child)
-
-    def __repr__(self) -> str:
-        return f"packed(prod={self.production}, pivot={self.pivot})"
-
-
-class _ParentNode:
-    __slots__ = ("left", "right", "_packed")
-
-    def __init__(self, left: int, right: int):
-        self.left = left
-        self.right = right
-        self._packed: dict[tuple[int, int], PackedNode] = {}
+    def right(self) -> int:
+        return self.sppf._keys[self.id][-1]
 
     @property
-    def children(self) -> tuple[PackedNode, ...]:
-        return tuple(self._packed[k] for k in sorted(self._packed))
+    def label(self) -> str | GrammarSlot | None:
+        """The edge label or nonterminal, the dotted slot of an intermediate
+        node, None for epsilon and packed nodes."""
+        key = self.sppf._keys[self.id]
+        if self.alternative or key[0] == 1:
+            return None
+        return self.sppf.grammar.slot(key[1], key[2]) if key[0] == 3 else key[1]
+
+    @property
+    def production(self) -> int | None:
+        return self.alternative[0] if self.alternative else None
+
+    @property
+    def pivot(self) -> int | None:
+        return self.alternative[1] if self.alternative else None
 
     @property
     def ambiguous(self) -> bool:
-        return len(self._packed) >= 2
-
-
-class NonterminalNode(_ParentNode):
-    kind = "nonterminal"
-    __slots__ = ("label",)
-
-    def __init__(self, label: str, left: int, right: int):
-        super().__init__(left, right)
-        self.label = label
+        return not self.alternative and len(self.sppf._packed[self.id] or ()) >= 2
 
     @property
-    def key(self):
-        return ("n", self.label, self.left, self.right)
+    def children(self) -> tuple[SppfNode, ...]:
+        """A parent's packed nodes in (production, pivot) order; a packed
+        node's left child (when it has one) and right child; none for a leaf."""
+        packed = self.sppf._packed[self.id]
+        if self.alternative:
+            return tuple(SppfNode(self.sppf, c) for c in packed[self.alternative] if c != DUMMY)
+        return tuple(SppfNode(self.sppf, self.id, a) for a in sorted(packed or ()))
 
     def __repr__(self) -> str:
-        return f"({self.left}, {self.label}, {self.right})"
+        if self.alternative:
+            return "packed(prod={}, pivot={})".format(*self.alternative)
+        return _describe(self.sppf, self.sppf._keys[self.id])
 
 
-class IntermediateNode(_ParentNode):
-    kind = "intermediate"
-    __slots__ = ("label",)
-
-    def __init__(self, label: GrammarSlot, left: int, right: int):
-        super().__init__(left, right)
-        self.label = label
-
-    @property
-    def key(self):
-        return ("i", *self.label.key, self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left}, {self.label!r}, {self.right})"
-
-
-SppfNode = Union[TerminalNode, EpsilonNode, NonterminalNode, IntermediateNode, PackedNode]
+def _describe(sppf: Sppf, key: tuple) -> str:
+    """``(left, label, right)``, as views print and DOT labels read."""
+    rank, left, right = key[0], key[-2], key[-1]
+    if rank == 1:
+        label = "eps"
+    elif rank == 3:
+        label = repr(sppf.grammar.slot(key[1], key[2]))
+    else:
+        label = key[1]
+    return f"({left}, {label}, {right})"
 
 
 @dataclass(frozen=True)
@@ -152,32 +130,32 @@ class SppfStats:
 
 
 class Sppf:
-    """The interned node store for one query execution."""
+    """The forest store for one query execution (layout in the module docstring)."""
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
-        self._terminal: dict[tuple[int, str, int], TerminalNode] = {}
-        self._epsilon: dict[int, EpsilonNode] = {}
-        self._nonterminal: dict[tuple[str, int, int], NonterminalNode] = {}
-        self._intermediate: dict[tuple[int, int, int, int], IntermediateNode] = {}
+        self._ids: dict[tuple, int] = {}
+        self._keys: list[tuple] = []
+        self._packed: list[dict[tuple[int, int], tuple[int, int]] | None] = []
         self._packed_count = 0
 
     # -- node construction ---------------------------------------------------
 
-    def terminal_node(self, source: int, label: str, target: int) -> TerminalNode:
-        key = (source, label, target)
-        node = self._terminal.get(key)
-        if node is None:
-            node = self._terminal[key] = TerminalNode(source, label, target)
-        return node
+    def _intern(self, key: tuple) -> int:
+        nid = self._ids.get(key)
+        if nid is None:
+            nid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            self._packed.append({} if key[0] >= 2 else None)
+        return nid
 
-    def epsilon_node(self, vertex: int) -> EpsilonNode:
-        node = self._epsilon.get(vertex)
-        if node is None:
-            node = self._epsilon[vertex] = EpsilonNode(vertex)
-        return node
+    def terminal_node(self, source: int, label: str, target: int) -> int:
+        return self._intern((0, label, source, target))
 
-    def get_node_p(self, slot: GrammarSlot, left, right):
+    def epsilon_node(self, vertex: int) -> int:
+        return self._intern((1, vertex, vertex))
+
+    def get_node_p(self, slot: GrammarSlot, left: int, right: int) -> int:
         """Combine a partial derivation with the piece just parsed.
 
         Forwards ``right`` unchanged for pass-through slots; otherwise interns
@@ -186,145 +164,131 @@ class Sppf:
         """
         if slot.pass_through:
             return right
-        pivot = right.left
-        left_extent = left.left if left is not DUMMY else pivot
-        right_extent = right.right
-        parent: NonterminalNode | IntermediateNode
+        keys = self._keys
+        pivot, right_extent = keys[right][-2:]
+        left_extent = keys[left][-2] if left != DUMMY else pivot
+        production = slot.production
         if slot.at_end:
-            nkey = (slot.production.lhs, left_extent, right_extent)
-            parent = self._nonterminal.get(nkey)
-            if parent is None:
-                parent = self._nonterminal[nkey] = NonterminalNode(*nkey)
+            key = (2, production.lhs, left_extent, right_extent)
         else:
-            ikey = (slot.production.index, slot.dot, left_extent, right_extent)
-            parent = self._intermediate.get(ikey)
-            if parent is None:
-                parent = self._intermediate[ikey] = IntermediateNode(slot, left_extent, right_extent)
-        pkey = (slot.production.index, pivot)
-        if pkey not in parent._packed:
-            parent._packed[pkey] = PackedNode(*pkey, left if left is not DUMMY else None, right)
+            key = (3, production.index, slot.dot, left_extent, right_extent)
+        parent = self._intern(key)
+        packed = self._packed[parent]
+        pkey = (production.index, pivot)
+        if pkey not in packed:
+            packed[pkey] = (left, right)
             self._packed_count += 1
         return parent
 
-    # -- lookup ----------------------------------------------------------------
+    # -- reads -----------------------------------------------------------------
 
-    def nonterminal_node(self, label: str, left: int, right: int) -> NonterminalNode | None:
-        return self._nonterminal.get((label, left, right))
+    def node(self, nid: int) -> SppfNode:
+        return SppfNode(self, nid)
 
-    def nonterminal_nodes(self, label: str | None = None) -> Iterator[NonterminalNode]:
-        for node in self._nonterminal.values():
-            if label is None or node.label == label:
-                yield node
+    def extent(self, nid: int) -> tuple[int, int]:
+        """The (start vertex, end vertex) of a node."""
+        return self._keys[nid][-2:]
+
+    def terminal_edge(self, nid: int) -> tuple[int, str, int] | None:
+        """The graph edge ``(source, label, target)`` of a terminal node, else None."""
+        key = self._keys[nid]
+        return (key[2], key[1], key[3]) if key[0] == 0 else None
+
+    def alternatives(self, nid: int) -> Iterable[tuple[int, int]]:
+        """The ``(left id or DUMMY, right id)`` children of each packed node
+        under a parent; none for a leaf."""
+        packed = self._packed[nid]
+        return packed.values() if packed else ()
+
+    def nonterminal_node(self, label: str, left: int, right: int) -> SppfNode | None:
+        nid = self._ids.get((2, label, left, right))
+        return None if nid is None else SppfNode(self, nid)
+
+    def nonterminal_nodes(self, label: str | None = None) -> Iterator[SppfNode]:
+        for nid, key in enumerate(self._keys):
+            if key[0] == 2 and (label is None or key[1] == label):
+                yield SppfNode(self, nid)
 
     def nodes(self) -> Iterator[SppfNode]:
-        """All non-packed nodes, then all packed nodes, in store order."""
-        parents: list[NonterminalNode | IntermediateNode] = []
-        for store in (self._terminal, self._epsilon, self._nonterminal, self._intermediate):
-            for node in store.values():
-                yield node
-                if isinstance(node, _ParentNode):
-                    parents.append(node)
-        for parent in parents:
-            yield from parent.children
+        """All non-packed nodes in id order, then all packed nodes in parent order."""
+        views = [SppfNode(self, nid) for nid in range(len(self._keys))]
+        yield from views
+        for view in views:
+            yield from view.children
 
     def stats(self) -> SppfStats:
-        # parent -> packed, packed -> right child, and packed -> left child if any
-        edges = 2 * self._packed_count + sum(
-            packed.left_child is not None
-            for store in (self._nonterminal, self._intermediate)
-            for node in store.values()
-            for packed in node._packed.values()
-        )
-        counts = (
-            len(self._terminal),
-            len(self._epsilon),
-            len(self._nonterminal),
-            len(self._intermediate),
-            self._packed_count,
-        )
+        ranks = [key[0] for key in self._keys]
+        counts = (*(ranks.count(rank) for rank in range(len(_KINDS))), self._packed_count)
+        # parent -> packed, packed -> right child, and packed -> left child unless DUMMY
+        lefts = map(itemgetter(0), chain.from_iterable(p.values() for p in self._packed if p))
+        edges = 3 * self._packed_count - countOf(lefts, DUMMY)
         return SppfStats(*counts, nodes=sum(counts), edges=edges)
 
 
 # -- serialization --------------------------------------------------------------
 
 
-def _reachable(roots: Iterable[SppfNode]) -> set[SppfNode]:
-    """The non-packed nodes reachable from ``roots``, roots included."""
+def _reachable(sppf: Sppf, roots: Iterable[int]) -> set[int]:
+    """The ids of the non-packed nodes reachable from ``roots``, roots included."""
     seen = set(roots)
     stack = list(seen)
     while stack:
-        node = stack.pop()
-        if isinstance(node, _ParentNode):
-            for packed in node._packed.values():
-                for child in (packed.left_child, packed.right_child):
-                    if child not in seen and child is not None:
-                        seen.add(child)
-                        stack.append(child)
+        for pair in sppf.alternatives(stack.pop()):
+            for child in pair:
+                if child not in seen and child != DUMMY:
+                    seen.add(child)
+                    stack.append(child)
     return seen
-
-
-_KIND_RANK = {"terminal": 0, "epsilon": 1, "nonterminal": 2, "intermediate": 3}
-
-
-def _sort_key(node: SppfNode):
-    return (_KIND_RANK[node.kind], node.key[1:])
 
 
 def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
     """Number the exported nodes (see the module docstring) and list their
     edges, already sorted: parents come in id order and every packed id is
-    larger than every non-packed id.  Repeated edges are kept."""
-    if roots is None:
-        stores = (sppf._terminal, sppf._epsilon, sppf._nonterminal, sppf._intermediate)
-        pool = [node for store in stores for node in store.values()]
-    else:
-        pool = list(_reachable(roots))
-    pool.sort(key=_sort_key)
-    ids = {node: nid for nid, node in enumerate(pool)}
-    ordered: list[SppfNode] = list(pool)
+    larger than every non-packed id.  Repeated edges are kept.
+
+    Returns the non-packed store ids in export order, the (production,
+    pivot) pair of each exported packed node after them, and the edges.
+    """
+    keys, packed_of = sppf._keys, sppf._packed
+    pool = range(len(keys)) if roots is None else _reachable(sppf, (r.id for r in roots))
+    pool = sorted(pool, key=keys.__getitem__)
+    number = dict(zip(pool, range(len(pool))))
+    packed: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     packed_edges: list[tuple[int, int]] = []
-    for node in pool:
-        if not isinstance(node, _ParentNode):
+    for parent_number, nid in enumerate(pool):
+        alternatives = packed_of[nid]
+        if not alternatives:
             continue
-        parent_id = ids[node]
-        lone = simplify and len(node._packed) == 1
-        for _, packed in sorted(node._packed.items()):
+        lone = simplify and len(alternatives) == 1
+        for alternative in sorted(alternatives):
+            left, right = alternatives[alternative]
             if lone:  # the parent takes the packed node's children
-                source, out = parent_id, edges
+                source, out = parent_number, edges
             else:
-                source, out = len(ordered), packed_edges
-                ordered.append(packed)
-                edges.append((parent_id, source))
-            right = ids[packed.right_child]
-            if packed.left_child is not None:
-                left = ids[packed.left_child]
+                source, out = len(pool) + len(packed), packed_edges
+                packed.append(alternative)
+                edges.append((parent_number, source))
+            right = number[right]
+            if left != DUMMY:
+                left = number[left]
                 out.append((source, min(left, right)))
                 right = max(left, right)
             out.append((source, right))
     edges += packed_edges
-    return ordered, edges
+    return pool, packed, edges
 
 
-def _node_record(node: SppfNode, nid: int, verbose: bool) -> dict:
-    record: dict = {"id": nid, "kind": node.kind}
-    if node.kind == "packed":
-        if verbose:
-            record["production"] = node.production
-            record["pivot"] = node.pivot
-        return record
-    record["left"] = node.left
-    record["right"] = node.right
-    if node.kind == "terminal":
-        record["label"] = node.label
-    elif node.kind == "nonterminal":
-        record["label"] = node.label
-        if node.ambiguous:
-            record["ambiguous"] = True
-    elif node.kind == "intermediate":
-        record["label"] = repr(node.label)
-        if node.ambiguous:
-            record["ambiguous"] = True
+def _node_record(sppf: Sppf, nid: int, number: int) -> dict:
+    key = sppf._keys[nid]
+    rank = key[0]
+    record: dict = {"id": number, "kind": _KINDS[rank], "left": key[-2], "right": key[-1]}
+    if rank == 3:
+        record["label"] = repr(sppf.grammar.slot(key[1], key[2]))
+    elif rank != 1:
+        record["label"] = key[1]
+    if rank >= 2 and len(sppf._packed[nid]) >= 2:
+        record["ambiguous"] = True
     return record
 
 
@@ -337,15 +301,18 @@ def export_json(
     indent: int | None = None,
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as JSON."""
-    ordered, edges = _layout(sppf, roots, simplify)
-    payload = {
-        "nodes": [_node_record(n, i, verbose) for i, n in enumerate(ordered)],
-        "edges": edges,
-    }
-    return json.dumps(payload, indent=indent, check_circular=False)
+    pool, packed, edges = _layout(sppf, roots, simplify)
+    records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
+    for number, (production, pivot) in enumerate(packed, len(pool)):
+        record: dict = {"id": number, "kind": "packed"}
+        if verbose:
+            record["production"] = production
+            record["pivot"] = pivot
+        records.append(record)
+    return json.dumps({"nodes": records, "edges": edges}, indent=indent, check_circular=False)
 
 
-_DOT_SHAPES = {"terminal": "box", "epsilon": "box", "intermediate": "box", "nonterminal": "oval"}
+_DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
 
 
 def export_dot(
@@ -357,20 +324,20 @@ def export_dot(
 ) -> str:
     """Render the forest in DOT: boxes for terminal/intermediate nodes, ovals
     for nonterminals (filled when ambiguous), points for packed nodes."""
-    ordered, edges = _layout(sppf, roots, simplify)
+    pool, packed, edges = _layout(sppf, roots, simplify)
     lines = ["digraph sppf {"]
-    for nid, node in enumerate(ordered):
-        if node.kind == "packed":
-            attrs = "shape=point"
-            if verbose:
-                attrs += f', xlabel="({node.production}, {node.pivot})"'
-        else:
-            shape = _DOT_SHAPES[node.kind]
-            label = repr(node).replace('"', '\\"')
-            attrs = f'shape={shape}, label="{label}"'
-            if node.kind in ("nonterminal", "intermediate") and node.ambiguous:
-                attrs += ", style=filled"
-        lines.append(f"  n{nid} [{attrs}];")
+    for number, nid in enumerate(pool):
+        key = sppf._keys[nid]
+        label = _describe(sppf, key).replace('"', '\\"')
+        attrs = f'shape={_DOT_SHAPES[key[0]]}, label="{label}"'
+        if key[0] >= 2 and len(sppf._packed[nid]) >= 2:
+            attrs += ", style=filled"
+        lines.append(f"  n{number} [{attrs}];")
+    for number, (production, pivot) in enumerate(packed, len(pool)):
+        attrs = "shape=point"
+        if verbose:
+            attrs += f', xlabel="({production}, {pivot})"'
+        lines.append(f"  n{number} [{attrs}];")
     for parent, child in edges:
         lines.append(f"  n{parent} -> n{child};")
     lines.append("}")

@@ -6,6 +6,7 @@ import pytest
 
 from cfpq import Graph, QueryEngine, load_tsv, parse_grammar, run_query, size_audit
 from cfpq.oracle import accepts
+from cfpq.sppf import DUMMY
 
 G1_TEXT = "S -> a S b\nS -> Middle\nMiddle -> a b"
 G0_TEXT = "S -> eps\nS -> a S b\nS -> S S"
@@ -45,15 +46,24 @@ def graph_m():
 
 def run_checked(graph, grammar, starts=None, finals=None, **kwargs):
     """run_query plus the size audit every test-suite query must pass."""
-    result = run_query(graph, grammar, starts, finals, **kwargs)
+    return audited(run_query(graph, grammar, starts, finals, **kwargs))
+
+
+def audited(result):
     failed = [c for c in size_audit(result) if not c.ok]
     assert not failed, f"size audit failed: {failed}"
     return result
 
 
 def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs):
-    """Run a query and return the result with every descriptor the engine
-    processed, in processing order."""
+    """Run a query, check its size audit, and return the result with the
+    structural key of every descriptor the engine processed, in processing
+    order: ``(slot key, stack key, vertex, forest key)``.
+
+    Forest ids depend on processing order, so the forest node is keyed by
+    ``(kind, label, left, right)`` (the slot key as label of an intermediate
+    node), and ``"$"`` stands for the empty forest.
+    """
     engine = QueryEngine(graph, grammar, starts, finals, **kwargs)
     processed = []
     process = engine.processing
@@ -63,7 +73,19 @@ def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs)
         process(descriptor)
 
     engine.processing = recorded
-    return engine.run(), processed
+    result = audited(engine.run())
+    return result, [
+        (slot.key, stack.key, vertex, forest_key(result.sppf, nid))
+        for slot, stack, vertex, nid in processed
+    ]
+
+
+def forest_key(sppf, nid):
+    if nid == DUMMY:
+        return "$"
+    node = sppf.node(nid)
+    label = node.label.key if node.kind == "intermediate" else node.label
+    return (node.kind, label, node.left, node.right)
 
 
 def linear_graph(word: str) -> Graph:

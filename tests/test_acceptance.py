@@ -192,14 +192,14 @@ def test_criterion_07_size_bound_audits(grammars):
         (complete_graph(4, {"a", "b"}, with_loops=True), grammars["g0"]),
     ]
     for graph, grammar in fixtures:
-        result, processed = run_recording_dispatches(graph, grammar, record_descriptors=True)
+        result, processed = run_recording_dispatches(graph, grammar)
         stats = result.sppf.stats()
         assert stats.terminal <= graph.edge_count
         assert stats.epsilon <= graph.vertex_count
         assert stats.nonterminal <= len(grammar.nonterminals) * graph.vertex_count**2
         assert result.engine.gss_nodes <= (grammar.return_slot_count + 1) * graph.vertex_count
         assert len(processed) == len(set(processed)) == result.engine.descriptors
-        for slot_key, stack_key, vertex, sppf_key in result.descriptor_keys:
+        for slot_key, stack_key, vertex, sppf_key in processed:
             assert sppf_key == "$" or (sppf_key[-2], sppf_key[-1]) == (stack_key[1], vertex)
         assert all(check.ok for check in size_audit(result))
     report(7, True, f"bounds, extension condition and dispatch-once on {len(fixtures)} fixtures")
@@ -215,9 +215,9 @@ def test_criterion_08_order_independence(grammars):
         (random_graph(rng, max_vertices=8, labels="ab"), grammars["g1"]),
     ]
     for graph, grammar in fixtures:
-        lifo = run_query(graph, grammar, worklist="lifo", record_descriptors=True)
-        fifo = run_query(graph, grammar, worklist="fifo", record_descriptors=True)
-        assert set(lifo.descriptor_keys) == set(fifo.descriptor_keys)
+        lifo, lifo_keys = run_recording_dispatches(graph, grammar, worklist="lifo")
+        fifo, fifo_keys = run_recording_dispatches(graph, grammar, worklist="fifo")
+        assert set(lifo_keys) == set(fifo_keys)
         assert lifo.root_pairs() == fifo.root_pairs()
         assert format_triples(lifo) == format_triples(fifo)  # byte-identical
     report(8, True, f"LIFO/FIFO agreed on descriptors, roots and files on {len(fixtures)} fixtures")

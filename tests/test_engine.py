@@ -70,7 +70,8 @@ class TestPop:
         )
         assert returned is start
         (descriptor,) = list(eng._pending)[pending:]
-        slot, stack, vertex, sppf_node = descriptor
+        slot, stack, vertex, sppf_id = descriptor
+        sppf_node = eng.sppf.node(sppf_id)
         assert (slot, stack.key, vertex) == (g1.slot(0, 2), ("S", 2), 3)
         assert (sppf_node.left, sppf_node.right) == (2, 3)
 
@@ -105,7 +106,8 @@ class TestProcessing:
         eng._pending.clear()
         eng.processing((g1.slot(0, 0), start, 0, DUMMY))
         (descriptor,) = eng._pending
-        slot, stack, vertex, sppf_node = descriptor
+        slot, stack, vertex, sppf_id = descriptor
+        sppf_node = eng.sppf.node(sppf_id)
         assert slot is g1.slot(0, 1) and vertex == 1
         assert (sppf_node.left, sppf_node.label, sppf_node.right) == (0, "a", 1)
 
@@ -181,9 +183,9 @@ class TestOrderIndependence:
             (g2, complete_graph(4, {"a", "b"})),
         ]
         for grammar, graph in fixtures:
-            lifo = run_checked(graph, grammar, record_descriptors=True)
-            fifo = run_checked(graph, grammar, worklist="fifo", record_descriptors=True)
-            assert set(lifo.descriptor_keys) == set(fifo.descriptor_keys)
+            lifo, lifo_keys = run_recording_dispatches(graph, grammar)
+            fifo, fifo_keys = run_recording_dispatches(graph, grammar, worklist="fifo")
+            assert set(lifo_keys) == set(fifo_keys)
             assert lifo.root_pairs() == fifo.root_pairs()
             assert lifo.engine.descriptors == fifo.engine.descriptors
             assert lifo.engine.gss_nodes == fifo.engine.gss_nodes
@@ -267,12 +269,12 @@ class TestCallSiteSharing:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_one_stack_node_per_vertex_on_complete_graphs(self, g0, n):
         # g0 calls S from three return slots, and the start vertices seed S too
-        result = run_checked(complete_graph(n, "ab"), g0, record_descriptors=True)
+        result, descriptor_keys = run_recording_dispatches(complete_graph(n, "ab"), g0)
         assert result.engine.gss_nodes == n
         initial = {slot.key for slot in g0.initial_slots["S"]}
         seeded = [
             (slot_key, vertex)
-            for slot_key, stack_key, vertex, sppf_key in result.descriptor_keys
+            for slot_key, stack_key, vertex, sppf_key in descriptor_keys
             if slot_key in initial and sppf_key == "$"
         ]
         assert sorted(seeded) == sorted((key, v) for key in initial for v in range(n))
@@ -317,8 +319,8 @@ def test_forest_is_pinned(request, grammar_id, graph_id):
 
 
 def test_descriptor_extension_invariant_holds(graph_m, g1):
-    result = run_checked(graph_m, g1, record_descriptors=True)
-    for slot_key, stack_key, vertex, sppf_key in result.descriptor_keys:
+    _, descriptor_keys = run_recording_dispatches(graph_m, g1)
+    for slot_key, stack_key, vertex, sppf_key in descriptor_keys:
         if sppf_key == "$":
             continue
         left, right = sppf_key[-2], sppf_key[-1]

@@ -81,6 +81,17 @@ class TestLoadTsv:
         with pytest.raises(KeyError):
             g.resolve_vertex("9")
 
+    def test_sparse_numeric_ids_within_the_bound_load(self):
+        assert load_tsv("0\ta\t1000").vertex_count == 1001
+        # two distinct ids allow up to 2**20 + 32
+        assert load_tsv("0\ta\t1048608").vertex_count == 2**20 + 33
+
+    @pytest.mark.parametrize("text", ["0\ta\t1000000000", "0\ta\t1\n# c\n1048625\tb\t0"])
+    def test_sparse_numeric_ids_beyond_the_bound_are_rejected(self, text):
+        line = text.count("\n") + 1
+        with pytest.raises(GraphFormatError, match=f"line {line}: vertex id"):
+            load_tsv(text)
+
 
 class TestLoadNtriples:
     def test_single_triple_yields_both_directions(self):

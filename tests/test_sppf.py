@@ -26,18 +26,18 @@ EXPORT_GRAMMARS = {
 
 def test_terminal_node_interning(g1):
     sp = Sppf(g1)
-    first = sp.terminal_node(0, "a", 1)
-    second = sp.terminal_node(0, "a", 1)
-    assert first is second
+    first = sp.node(sp.terminal_node(0, "a", 1))
+    second = sp.node(sp.terminal_node(0, "a", 1))
+    assert first == second
     assert (first.left, first.label, first.right) == (0, "a", 1)
     assert sp.stats().terminal == 1
 
 
 def test_epsilon_node_extension(g1):
     sp = Sppf(g1)
-    node = sp.epsilon_node(2)
+    node = sp.node(sp.epsilon_node(2))
     assert (node.left, node.right) == (2, 2)
-    assert sp.epsilon_node(2) is node
+    assert sp.node(sp.epsilon_node(2)) == node
 
 
 def test_pass_through_returns_right_unchanged(g1):
@@ -58,8 +58,8 @@ def test_completed_production_builds_nonterminal_node(g1, graph_m):
     )
     t03 = sp.terminal_node(0, "b", 3)
     before = sp.stats()
-    parent = sp.get_node_p(g1.slot(0, 3), intermediate, t03)
-    assert parent is sp.nonterminal_node("S", 0, 3)
+    parent = sp.node(sp.get_node_p(g1.slot(0, 3), intermediate.id, t03))
+    assert parent == sp.nonterminal_node("S", 0, 3)
     assert len(parent.children) == 1
     assert sp.stats() == before  # repeated combination is a no-op
 
@@ -71,6 +71,27 @@ def test_packed_children_record_pivot(g1, graph_m):
     (packed,) = middle.children
     assert packed.pivot == 0
     assert [c.kind for c in packed.children] == ["terminal", "terminal"]
+
+
+def test_views_of_one_node_are_equal(g0, graph_m):
+    result = run_checked(graph_m, g0)
+    sp = result.sppf
+    for root in result.roots:
+        view = sp.nonterminal_node("S", root.left, root.right)
+        assert view == root and view is not root
+        assert hash(view) == hash(root)
+    assert set(result.roots) <= set(sp.nonterminal_nodes("S"))
+    assert len({*result.roots, *(sp.node(r.id) for r in result.roots)}) == len(result.roots)
+    parent = next(node for node in sp.nodes() if node.ambiguous)
+    packed = parent.children
+    assert len(packed) >= 2
+    assert [(p.production, p.pivot) for p in packed] == sorted((p.production, p.pivot) for p in packed)
+    assert all(p.kind == "packed" for p in packed) and packed[0] != packed[1]
+    assert parent.children == packed
+    for p in packed:
+        assert 1 <= len(p.children) <= 2
+        assert p.children[-1].right == parent.right
+        assert p.children[0].left == (parent.left if len(p.children) == 2 else p.pivot)
 
 
 def test_empty_stats(g1):
