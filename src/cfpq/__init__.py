@@ -33,7 +33,7 @@ from .results import (
     format_triples,
     reachable_pairs,
 )
-from .sppf import Sppf, export_dot, export_json, load_json
+from .sppf import Sppf, export_dot, export_json
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "format_triples",
     "hellings_pairs",
     "hellings_slice",
-    "load_json",
     "load_ntriples",
     "load_tsv",
     "parse_grammar",

@@ -99,7 +99,7 @@ def _write_sppf(args: argparse.Namespace, result) -> None:
                           simplify=args.sppf_simplify)
     elif out.suffix == ".json":
         text = export_json(result.sppf, result.roots, verbose=args.sppf_verbose,
-                           simplify=args.sppf_simplify, indent=2)
+                           simplify=args.sppf_simplify)
     else:
         raise CliError(f"unknown forest format {out.suffix!r} (use .dot or .json)")
     out.write_text(text, encoding="utf-8")

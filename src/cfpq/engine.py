@@ -15,7 +15,8 @@ node views.
 Stack nodes are keyed by (nonterminal, vertex), one per call of a
 nonterminal at a vertex, and the caller's return slot sits on the stack
 edge (Afroozeh & Izmaylova, "Faster, Practical GLL Parsing", CC 2015).  So a
-callee's body runs once per call vertex, however many call sites reach it.
+callee's body runs once per call vertex, however many call sites reach it:
+its alternatives are predicted once, when its stack node is created.
 A start vertex seeds the ordinary node of the start symbol there, which an
 inner call of the start symbol at that vertex shares.  Every node of the
 start symbol that begins at a start vertex is popped at that shared node,
@@ -94,9 +95,8 @@ class QueryEngine:
         self._pending: deque = deque()
         self._seen: set = set()
         self._gss: dict[tuple, GssNode] = {}
-        self._gss_edges = 0
-        self._predict_cache: dict[tuple[str, int], tuple[GrammarSlot, ...]] = {}
-        self._seed()
+        for vertex in sorted(self.start_vertices):
+            self._call(grammar.start, vertex)
 
     # -- worklist ------------------------------------------------------------
 
@@ -113,51 +113,43 @@ class QueryEngine:
         self._seen.add(descriptor)
         self._pending.append(descriptor)
 
-    def _gss_node(self, nonterminal: str, vertex: int) -> GssNode:
+    def _call(self, nonterminal: str, vertex: int) -> GssNode:
+        """The stack node of a call of ``nonterminal`` at ``vertex``.  Creating
+        it queues the predicted alternatives, so a call is predicted once; a
+        new node has no pops to replay."""
         key = (nonterminal, vertex)
         node = self._gss.get(key)
         if node is None:
             node = self._gss[key] = GssNode(nonterminal, vertex)
+            for slot in self._predict(nonterminal, vertex):
+                self.add(slot, node, vertex, DUMMY)
         return node
 
-    def _seed(self) -> None:
-        start = self.grammar.start
-        for vertex in sorted(self.start_vertices):
-            node = self._gss_node(start, vertex)
-            for slot in self._predict(start, vertex):
-                self.add(slot, node, vertex, DUMMY)
-
-    def _predict(self, nonterminal: str, vertex: int) -> tuple[GrammarSlot, ...]:
+    def _predict(self, nonterminal: str, vertex: int) -> list[GrammarSlot]:
         """Candidate initial slots: table cells of the outgoing edge labels,
         plus the nullable alternatives unconditionally (sink vertices and
         labels outside FIRST must still reach empty derivations)."""
-        ckey = (nonterminal, vertex)
-        cached = self._predict_cache.get(ckey)
-        if cached is None:
-            slots = {
-                s
-                for label in self.graph.adjacency.get(vertex, ())
-                for s in self.table.cell(nonterminal, label)
-            }
-            slots.update(self.table.nullable_alternatives(nonterminal))
-            cached = tuple(sorted(slots, key=lambda s: s.key))
-            self._predict_cache[ckey] = cached
-        return cached
+        slots = {
+            s
+            for label in self.graph.adjacency.get(vertex, ())
+            for s in self.table.cell(nonterminal, label)
+        }
+        slots.update(self.table.nullable_alternatives(nonterminal))
+        return sorted(slots, key=lambda s: s.key)
 
     # -- the three stack primitives -------------------------------------------
 
     def create(
         self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int
     ) -> GssNode:
-        """Intern the stack node of the nonterminal called before
-        ``return_slot`` at ``vertex`` and attach the caller; a new stack edge
-        replays every pop already recorded on the node."""
+        """Call the nonterminal before ``return_slot`` at ``vertex`` and
+        attach the caller; a new stack edge replays every pop already
+        recorded on the node."""
         callee = return_slot.production.rhs[return_slot.dot - 1]
-        node = self._gss_node(callee, vertex)
+        node = self._call(callee, vertex)
         edge = (return_slot, sppf_node, stack)
         if edge not in node.edges:
             node.edges[edge] = None
-            self._gss_edges += 1
             for popped, right in node.pops.items():
                 combined = self.sppf.get_node_p(return_slot, sppf_node, popped)
                 self.add(return_slot, stack, right, combined)
@@ -190,9 +182,7 @@ class QueryEngine:
                 combined = get_node_p(next_slot, current, terminal_node(vertex, symbol, target))
                 self.add(next_slot, stack, target, combined)
         else:
-            callee = self.create(slot.next_slot, stack, vertex, current)
-            for initial in self._predict(symbol, vertex):
-                self.add(initial, callee, vertex, DUMMY)
+            self.create(slot.next_slot, stack, vertex, current)
 
     def run(self) -> QueryResult:
         pending = self._pending
@@ -211,7 +201,7 @@ class QueryEngine:
         stats = EngineStats(
             descriptors=len(self._seen),
             gss_nodes=len(self._gss),
-            gss_edges=self._gss_edges,
+            gss_edges=sum(len(node.edges) for node in self._gss.values()),
         )
         return QueryResult(
             sppf=self.sppf,

@@ -1,14 +1,14 @@
 """Edge-labeled directed graphs: TSV and N-Triples ingestion, synthetic generators.
 
-Vertices are dense integers internally.  Files with purely numeric vertex
-columns keep their numbers as ids; symbolic vertices are interned in first
+Vertices are dense integers internally.  Files whose vertex columns are all
+ASCII digits keep their numbers as ids; symbolic vertices are interned in first
 appearance order and the name table is retained for output.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,11 +20,12 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """A directed graph with labeled, deduplicated edges and a per-vertex out-index."""
+    """A directed graph with labeled, deduplicated edges, which live in one
+    index: ``{source: {label: sorted targets}}``."""
 
     def __init__(self, vertex_count: int = 0):
-        self._edges: set[Edge] = set()
         self._out: dict[int, dict[str, list[int]]] = {}
+        self._edge_count = 0
         self._max_vertex = vertex_count - 1
         self._names: list[str] | None = None
         self._ids: dict[str, int] | None = None
@@ -33,11 +34,12 @@ class Graph:
 
     def add_edge(self, source: int, label: str, target: int) -> bool:
         """Insert an edge; returns False (no change) if it already exists."""
-        edge = (source, label, target)
-        if edge in self._edges:
+        targets = self._out.setdefault(source, {}).setdefault(label, [])
+        i = bisect_left(targets, target)
+        if i < len(targets) and targets[i] == target:
             return False
-        self._edges.add(edge)
-        insort(self._out.setdefault(source, {}).setdefault(label, []), target)
+        targets.insert(i, target)
+        self._edge_count += 1
         if source > self._max_vertex:
             self._max_vertex = source
         if target > self._max_vertex:
@@ -75,7 +77,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._edge_count
 
     @property
     def adjacency(self) -> dict[int, dict[str, list[int]]]:
@@ -86,7 +88,13 @@ class Graph:
         return range(self.vertex_count)
 
     def edges(self) -> list[Edge]:
-        return sorted(self._edges)
+        """Every edge, sorted by (source, label, target)."""
+        return [
+            (source, label, target)
+            for source, labels in sorted(self._out.items())
+            for label, targets in sorted(labels.items())
+            for target in targets
+        ]
 
     def out_degree(self, vertex: int) -> int:
         return sum(len(ts) for ts in self._out.get(vertex, {}).values())
@@ -104,7 +112,7 @@ class Graph:
             if token in self._ids:
                 return self._ids[token]
             raise KeyError(f"unknown vertex {token!r}")
-        if not token.isdigit():
+        if not _is_number(token):
             raise KeyError(f"vertex {token!r} is not a number")
         vid = int(token)
         if vid >= self.vertex_count:
@@ -156,6 +164,11 @@ def format_path(path: Path, graph: Graph | None = None) -> str:
     return " ".join(parts)
 
 
+def _is_number(token: str) -> bool:
+    """ASCII digits only; ``str.isdigit`` also holds for ``"²"`` and ``"١"``."""
+    return token.isascii() and token.isdigit()
+
+
 def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("#")
 
@@ -164,7 +177,7 @@ def load_tsv(text: str) -> Graph:
     """Load a ``source<TAB>label<TAB>target`` edge list.
 
     Lines starting with ``#`` and blank lines are ignored.  If every vertex
-    column is numeric the numbers become ids directly; otherwise all vertices
+    is ASCII digits the numbers become ids directly; otherwise all vertices
     are interned by first appearance.  Numeric ids may leave gaps, but none
     may exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to
     the largest id is part of the graph, and a default query visits them all.
@@ -183,7 +196,7 @@ def load_tsv(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: empty field")
         rows.append((lineno, source, label, target))
     graph = Graph()
-    numeric = all(s.isdigit() and t.isdigit() for _, s, _, t in rows)
+    numeric = all(_is_number(s) and _is_number(t) for _, s, _, t in rows)
     if not numeric:
         graph._names = []
         graph._ids = {}

@@ -137,7 +137,6 @@ class Sppf:
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
         self._packed: list[dict[tuple[int, int], tuple[int, int]] | None] = []
-        self._packed_count = 0
 
     # -- node construction ---------------------------------------------------
 
@@ -177,7 +176,6 @@ class Sppf:
         pkey = (production.index, pivot)
         if pkey not in packed:
             packed[pkey] = (left, right)
-            self._packed_count += 1
         return parent
 
     # -- reads -----------------------------------------------------------------
@@ -218,10 +216,12 @@ class Sppf:
 
     def stats(self) -> SppfStats:
         ranks = [key[0] for key in self._keys]
-        counts = (*(ranks.count(rank) for rank in range(len(_KINDS))), self._packed_count)
+        parents = [p for p in self._packed if p]
+        packed = sum(map(len, parents))
+        counts = (*(ranks.count(rank) for rank in range(len(_KINDS))), packed)
         # parent -> packed, packed -> right child, and packed -> left child unless DUMMY
-        lefts = map(itemgetter(0), chain.from_iterable(p.values() for p in self._packed if p))
-        edges = 3 * self._packed_count - countOf(lefts, DUMMY)
+        lefts = map(itemgetter(0), chain.from_iterable(p.values() for p in parents))
+        edges = 3 * packed - countOf(lefts, DUMMY)
         return SppfStats(*counts, nodes=sum(counts), edges=edges)
 
 
@@ -298,9 +298,9 @@ def export_json(
     *,
     verbose: bool = False,
     simplify: bool = False,
-    indent: int | None = None,
 ) -> str:
-    """Serialize the forest (root-reachable part, or everything) as JSON."""
+    """Serialize the forest (root-reachable part, or everything) as compact,
+    single-line JSON."""
     pool, packed, edges = _layout(sppf, roots, simplify)
     records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
     for number, (production, pivot) in enumerate(packed, len(pool)):
@@ -309,7 +309,7 @@ def export_json(
             record["production"] = production
             record["pivot"] = pivot
         records.append(record)
-    return json.dumps({"nodes": records, "edges": edges}, indent=indent, check_circular=False)
+    return json.dumps({"nodes": records, "edges": edges}, check_circular=False)
 
 
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
@@ -342,30 +342,3 @@ def export_dot(
         lines.append(f"  n{parent} -> n{child};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-class ForestSnapshot:
-    """A reloaded forest serialization, sufficient to recount sizes."""
-
-    def __init__(self, nodes: list[dict], edges: list[tuple[int, int]]):
-        self.nodes = nodes
-        self.edges = edges
-
-    def stats(self) -> SppfStats:
-        counts = {"terminal": 0, "epsilon": 0, "nonterminal": 0, "intermediate": 0, "packed": 0}
-        for node in self.nodes:
-            counts[node["kind"]] += 1
-        return SppfStats(
-            counts["terminal"],
-            counts["epsilon"],
-            counts["nonterminal"],
-            counts["intermediate"],
-            counts["packed"],
-            nodes=len(self.nodes),
-            edges=len(self.edges),
-        )
-
-
-def load_json(text: str) -> ForestSnapshot:
-    payload = json.loads(text)
-    return ForestSnapshot(payload["nodes"], [tuple(e) for e in payload["edges"]])

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from cfpq import Graph, QueryEngine, load_tsv, parse_grammar, run_query, size_audit
 from cfpq.oracle import accepts
-from cfpq.sppf import DUMMY
+from cfpq.sppf import DUMMY, SppfStats
 
 G1_TEXT = "S -> a S b\nS -> Middle\nMiddle -> a b"
 G0_TEXT = "S -> eps\nS -> a S b\nS -> S S"
@@ -88,6 +89,15 @@ def forest_key(sppf, nid):
     return (node.kind, label, node.left, node.right)
 
 
+def export_stats(text: str) -> SppfStats:
+    """Recount a JSON forest export: nodes by kind, and edges."""
+    payload = json.loads(text)
+    kinds = [node["kind"] for node in payload["nodes"]]
+    kinds_in_order = ("terminal", "epsilon", "nonterminal", "intermediate", "packed")
+    counts = (kinds.count(kind) for kind in kinds_in_order)
+    return SppfStats(*counts, nodes=len(kinds), edges=len(payload["edges"]))
+
+
 def linear_graph(word: str) -> Graph:
     graph = Graph(vertex_count=len(word) + 1)
     for i, label in enumerate(word):
@@ -111,15 +121,25 @@ def all_paths(graph: Graph, max_length: int):
 
 
 def brute_matching_endpoints(graph: Graph, grammar, max_length: int) -> set[tuple[int, int]]:
-    """Endpoints of all paths (up to the bound) whose word the grammar accepts."""
+    """Endpoints of all paths (up to the bound) whose word the grammar accepts.
+
+    Grows a map from each label word to the (start, end) pairs of the paths
+    reading it, one length at a time, then unions the pairs of accepted words.
+    """
     matched = set()
-    memo: dict[tuple[str, ...], bool] = {}
-    for edges in all_paths(graph, max_length):
-        w = tuple(e[1] for e in edges)
-        if w not in memo:
-            memo[w] = accepts(grammar, w)
-        if memo[w]:
-            matched.add((edges[0][0], edges[-1][2]))
+    pairs_of: dict[tuple[str, ...], set[tuple[int, int]]] = {
+        (): {(v, v) for v in graph.vertices()}
+    }
+    for _ in range(max_length):
+        longer: dict[tuple[str, ...], set[tuple[int, int]]] = {}
+        for w, pairs in pairs_of.items():
+            for start, end in pairs:
+                for label, targets in graph.adjacency.get(end, {}).items():
+                    longer.setdefault(w + (label,), set()).update((start, t) for t in targets)
+        pairs_of = longer
+        for w, pairs in pairs_of.items():
+            if accepts(grammar, w):
+                matched |= pairs
     return matched
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cfpq import export_json, load_tsv, parse_grammar, run_query
 from cfpq.cli import load_builtin_grammar, main
 from conftest import M_TSV
 
@@ -123,6 +124,22 @@ class TestQuery:
         bad = tmp_path / "out.xml"
         assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
                      "--sppf", str(bad)]) == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--sppf-verbose", "--sppf-simplify"]])
+    def test_json_forest_is_the_compact_export(self, tmp_path, graph_file, grammar_file, flags):
+        out = tmp_path / "out.json"
+        assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
+                     "--starts", "0", "--sppf", str(out), *flags]) == 0
+        grammar = parse_grammar(open(grammar_file, encoding="utf-8").read())
+        result = run_query(load_tsv(M_TSV), grammar, {0})
+        expected = export_json(result.sppf, result.roots, verbose=bool(flags), simplify=bool(flags))
+        assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("token", ["\u0661", "\u00b2"])
+    def test_non_ascii_digit_vertex_exits_2(self, graph_file, grammar_file, token, capsys):
+        assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
+                     "--starts", token]) == 2
+        assert "is not a number" in capsys.readouterr().err
 
     def test_ntriples_input(self, tmp_path):
         graph = tmp_path / "onto.nt"

@@ -29,13 +29,13 @@ class TestAdd:
     def test_fresh_descriptor_enters_both_sets(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         seen, pending = len(eng._seen), len(eng._pending)
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         eng.add(g1.slot(2, 0), start, 0, DUMMY)
         assert (len(eng._seen), len(eng._pending)) == (seen + 1, pending + 1)
 
     def test_duplicate_descriptor_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         eng.add(g1.slot(2, 0), start, 0, DUMMY)
         seen, pending = len(eng._seen), len(eng._pending)
         eng.add(g1.slot(2, 0), start, 0, DUMMY)
@@ -43,7 +43,7 @@ class TestAdd:
 
     def test_descriptors_differing_only_in_vertex_are_kept(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         eng.add(g1.slot(2, 0), start, 0, DUMMY)
         seen = len(eng._seen)
         eng.add(g1.slot(2, 0), start, 1, DUMMY)
@@ -53,7 +53,8 @@ class TestAdd:
 class TestPop:
     def test_pop_without_callers_is_replayed_to_later_callers(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._gss_node("S", 0)  # seeded, but no caller attached
+        start = eng._call("S", 0)  # seeded, but no caller attached
+        caller = eng._call("S", 2)  # a new stack node queues its predictions here
         pending = len(eng._pending)
         middle = eng.sppf.get_node_p(
             g1.slot(2, 2),
@@ -66,7 +67,7 @@ class TestPop:
         assert list(start.pops) == [completed]
         # S -> a S . b after the edge (2, a, 0) calls S at 0: the start node
         returned = eng.create(
-            g1.slot(0, 2), eng._gss_node("S", 2), 0, eng.sppf.terminal_node(2, "a", 0)
+            g1.slot(0, 2), caller, 0, eng.sppf.terminal_node(2, "a", 0)
         )
         assert returned is start
         (descriptor,) = list(eng._pending)[pending:]
@@ -77,7 +78,7 @@ class TestPop:
 
     def test_pop_offers_one_descriptor_per_stack_edge(self):
         eng, grammar = two_call_sites_engine()
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
         assert eng.create(grammar.slot(1, 1), start, 0, DUMMY) is node
         assert node.key == ("A", 0) and len(node.edges) == 2
@@ -89,7 +90,7 @@ class TestPop:
 
     def test_create_after_pop_replays_recorded_result(self):
         eng, grammar = two_call_sites_engine()
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
         completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))
         eng.pop(node, 1, completed)
@@ -102,7 +103,7 @@ class TestPop:
 class TestProcessing:
     def test_terminal_step_offers_descriptor_at_edge_target(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         eng._pending.clear()
         eng.processing((g1.slot(0, 0), start, 0, DUMMY))
         (descriptor,) = eng._pending
@@ -113,7 +114,7 @@ class TestProcessing:
 
     def test_terminal_step_with_no_matching_edge_offers_nothing(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._gss_node("S", 0)
+        start = eng._call("S", 0)
         eng._pending.clear()
         eng.processing((g1.slot(0, 0), start, 3, DUMMY))  # no a-edge out of 3
         assert not eng._pending
@@ -278,6 +279,19 @@ class TestCallSiteSharing:
             if slot_key in initial and sppf_key == "$"
         ]
         assert sorted(seeded) == sorted((key, v) for key in initial for v in range(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_each_stack_node_is_predicted_once(self, g0, n, monkeypatch):
+        calls = []
+        predict = QueryEngine._predict
+
+        def counted(engine, nonterminal, vertex):
+            calls.append((nonterminal, vertex))
+            return predict(engine, nonterminal, vertex)
+
+        monkeypatch.setattr(QueryEngine, "_predict", counted)
+        result = run_checked(complete_graph(n, "ab"), g0)
+        assert len(calls) == result.engine.gss_nodes
 
     def test_stack_bounds_within_the_slot_keyed_bounds(self):
         rng = random.Random(4242)

@@ -133,16 +133,26 @@ class TestSlots:
 
 
 def derivable_forms(grammar: Grammar, root: str, max_length: int) -> set[tuple[str, ...]]:
+    """Forms derivable from ``root`` through forms of at most ``max_length``
+    symbols, each cut after its first terminal.  Symbols after the first
+    terminal can change neither emptiness nor the first terminal, so only the
+    nonterminals before it are expanded."""
     seen = {(root,)}
     queue = deque(seen)
     while queue:
         form = queue.popleft()
         for i, sym in enumerate(form):
             if sym not in grammar.nonterminals:
-                continue
+                break
             for p in grammar.alternatives[sym]:
                 new = form[:i] + p.rhs + form[i + 1 :]
-                if len(new) <= max_length and new not in seen:
+                if len(new) > max_length:
+                    continue
+                for j in range(i, len(new)):
+                    if new[j] not in grammar.nonterminals:
+                        new = new[: j + 1]
+                        break
+                if new not in seen:
                     seen.add(new)
                     queue.append(new)
     return seen

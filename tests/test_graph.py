@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cfpq.graph import (
@@ -41,6 +43,19 @@ class TestAddEdge:
         assert g.add_edge(0, "a", 1) and g.add_edge(0, "b", 1)
         assert g.edge_count == 2
 
+    def test_shuffled_inserts_with_repeats_keep_one_sorted_index(self):
+        rng = random.Random(8)
+        distinct = [(u, label, v) for u in range(6) for label in "ab" for v in range(6)]
+        inserted = rng.sample(distinct, 40) * 2 + rng.sample(distinct, 20)
+        rng.shuffle(inserted)
+        g = Graph()
+        added = [g.add_edge(*edge) for edge in inserted]
+        assert g.edges() == sorted(set(inserted))
+        assert g.edge_count == sum(added) == len(set(inserted))
+        for labels in g.adjacency.values():
+            for targets in labels.values():
+                assert targets == sorted(targets)
+
 
 class TestLoadTsv:
     def test_motivating_graph(self):
@@ -80,6 +95,20 @@ class TestLoadTsv:
         assert g.resolve_vertex("5") == 5
         with pytest.raises(KeyError):
             g.resolve_vertex("9")
+
+    @pytest.mark.parametrize(
+        "text, names", [("\u00b2\ta\t1", ["\u00b2", "1"]), ("0\ta\t\u0661", ["0", "\u0661"])]
+    )
+    def test_non_ascii_digits_are_names(self, text, names):
+        g = load_tsv(text)
+        assert [g.vertex_name(v) for v in g.vertices()] == names
+        assert g.edges() == [(0, "a", 1)]
+
+    @pytest.mark.parametrize("token", ["\u0661", "\u00b2"])
+    def test_non_ascii_digits_are_not_numeric_ids(self, token):
+        g = load_tsv("0\ta\t1")
+        with pytest.raises(KeyError, match="is not a number"):
+            g.resolve_vertex(token)
 
     def test_sparse_numeric_ids_within_the_bound_load(self):
         assert load_tsv("0\ta\t1000").vertex_count == 1001

@@ -8,8 +8,17 @@ import pytest
 
 from cfpq.grammar import parse_grammar
 from cfpq.graph import complete_graph, load_tsv
-from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json, load_json
-from conftest import G0_TEXT, G1_TEXT, G2_TEXT, M_TSV, linear_graph, random_graph, run_checked
+from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json
+from conftest import (
+    G0_TEXT,
+    G1_TEXT,
+    G2_TEXT,
+    M_TSV,
+    export_stats,
+    linear_graph,
+    random_graph,
+    run_checked,
+)
 
 EXPORT_GRAMMARS = {
     "g0": G0_TEXT,
@@ -154,7 +163,7 @@ def test_every_forest_nonterminal_is_witnessed(g0, g1, g2):
 class TestExport:
     def test_empty_forest_header_only(self, g1):
         sp = Sppf(g1)
-        assert load_json(export_json(sp)).stats().nodes == 0
+        assert export_stats(export_json(sp)).nodes == 0
         dot = export_dot(sp)
         assert dot.startswith("digraph sppf {") and dot.rstrip().endswith("}")
         assert "->" not in dot
@@ -162,7 +171,7 @@ class TestExport:
     def test_json_round_trip_preserves_stats(self, g1, graph_m):
         result = run_checked(graph_m, g1)
         text = export_json(result.sppf)
-        assert load_json(text).stats() == result.sppf.stats()
+        assert export_stats(text) == result.sppf.stats()
 
     def test_export_is_deterministic(self, g0, graph_m):
         first = run_checked(graph_m, g0)
@@ -180,14 +189,14 @@ class TestExport:
 
     def test_roots_restrict_export_to_reachable_part(self, g1, graph_m):
         result = run_checked(graph_m, g1, starts={0})
-        full = load_json(export_json(result.sppf)).stats()
-        reachable = load_json(export_json(result.sppf, result.roots)).stats()
+        full = export_stats(export_json(result.sppf))
+        reachable = export_stats(export_json(result.sppf, result.roots))
         assert reachable.nodes <= full.nodes
 
     def test_simplify_drops_lone_packed_nodes(self, g1, graph_m):
         result = run_checked(graph_m, g1, starts={0})
-        plain = load_json(export_json(result.sppf, result.roots)).stats()
-        slim = load_json(export_json(result.sppf, result.roots, simplify=True)).stats()
+        plain = export_stats(export_json(result.sppf, result.roots))
+        slim = export_stats(export_json(result.sppf, result.roots, simplify=True))
         assert slim.packed < plain.packed
         assert slim.nodes < plain.nodes
 
@@ -207,7 +216,6 @@ EXPORT_VARIANTS = {
     "json": lambda sppf, roots: export_json(sppf, roots),
     "json-simplify": lambda sppf, roots: export_json(sppf, roots, simplify=True),
     "json-verbose": lambda sppf, roots: export_json(sppf, roots, verbose=True),
-    "json-indent": lambda sppf, roots: export_json(sppf, roots, indent=2),
     "dot": lambda sppf, roots: export_dot(sppf, roots),
     "dot-verbose-simplify": lambda sppf, roots: export_dot(sppf, roots, verbose=True, simplify=True),
 }
@@ -217,67 +225,56 @@ EXPORT_DIGESTS = {
     ("g0", "M", "json"): "97b1e8841e568a9fac592e9913cfebe2edec5466cad599b92766736d296b486f",
     ("g0", "M", "json-simplify"): "92086f9efb5c8f6e61b6e3f9c0b518f3a118fb6be1648acced9d5d97f06aedaf",
     ("g0", "M", "json-verbose"): "eb4ff0a234579a345b940ec5b12626a27f289a307345d5a2a8f56c3e5fdbe138",
-    ("g0", "M", "json-indent"): "8cb37a6e28eebed894e9f41735e445bef6822d74970148b2a0b3edb78dd51a71",
     ("g0", "M", "dot"): "121ec6f85acbe87d525091a81339c3136d12dc88fd4e633701b56c08320c63c1",
     ("g0", "M", "dot-verbose-simplify"): "778cf21d68cf4bccf63a4ee535c1f0d85928275c4c5f6df5d2e80f7b4286b65d",
     ("g0", "K5", "json"): "2ef9b1a915a207c941284fd72443e02304b4c02283a0f226fea93c048d55d9dc",
     ("g0", "K5", "json-simplify"): "0650949b8dc8aaa151ef1ab03faa0964e07d7c7b32c62baec7d226995663ff1a",
     ("g0", "K5", "json-verbose"): "1f5a72a35501f699c3f91464c316df27ab15834cbc07693f0e8daa58eac8aaa3",
-    ("g0", "K5", "json-indent"): "14a6807d97d11ce35919bf227e436227ec70a3cbbed146eea54ed3f4fb58a594",
     ("g0", "K5", "dot"): "1d264d0c56d98ad7e49e6f49bdcd953dd2afce8ba5b705b678c07fb11888d5d0",
     ("g0", "K5", "dot-verbose-simplify"): "a952d0be35104fd3073e6c17b43de0b696d1fc2c3d754e75fa3ee9ffa6f2d033",
     ("g0", "random", "json"): "797906fe77fc8699bd1cf409829afbf79172f5251a464b79aee30e40b7897361",
     ("g0", "random", "json-simplify"): "3ab0323b55a625004f03bb8a2dcc0db5a90753bf418f0444bbad4cbb3018db5d",
     ("g0", "random", "json-verbose"): "63b7e4edd3b9c028dd144bb09f3b2ea073855d9fbfe65720f126cf620799a0ee",
-    ("g0", "random", "json-indent"): "c8a289b8b4dec0dd8759b044985bc339880bfff4c8e3c787eadda950bb57fb87",
     ("g0", "random", "dot"): "eabf7f39fa1d9b66a5c29325ea9ea80df42566ab378918678ac0273d0692a366",
     ("g0", "random", "dot-verbose-simplify"): "82587baa518b0986265546330e65c81c24e3882ea327a046f643e3391ca9cbaf",
     ("g1", "M", "json"): "1eec77e293c1321d1e594168070bfa81e09fbdc216d342d427f8abcb2b664575",
     ("g1", "M", "json-simplify"): "a7aa4c053bb96461357cf555baa79c95d4405bf13c462fa7189d436f5f8bbf6c",
     ("g1", "M", "json-verbose"): "636ae8a1396f8f5c9c75b82156d07aefbf6ee2d45c63d134c01be732808e0cf7",
-    ("g1", "M", "json-indent"): "8f507d59ec733e02db79b778b1ece7e3dc5d8e0a53a476438c50b7d96cf64a03",
     ("g1", "M", "dot"): "1b9c0446868ca6e8f9e04540957fd13dd378ae48bdc1a39894232ff157a007dd",
     ("g1", "M", "dot-verbose-simplify"): "8902060c57a1a0d258ecc7807b1ca8022232a797f904fab94fefb98be51506d2",
     ("g1", "K5", "json"): "64b575b93656bc7055a9288698d326e83b360f86e6532202f2b034f20b6faa3f",
     ("g1", "K5", "json-simplify"): "64b575b93656bc7055a9288698d326e83b360f86e6532202f2b034f20b6faa3f",
     ("g1", "K5", "json-verbose"): "c4fd59d61a7b3546be103584bc69c69d484bb210394bf5a188401a8c595c197d",
-    ("g1", "K5", "json-indent"): "9c63d2f19ddc4379d62759bd1dbefb1eb08e45da4a247dad0b94032950ca3b42",
     ("g1", "K5", "dot"): "59b990185d9670ca7e9ba1033ff2705a43b5bbfec51f739c4d0485bbfa47c415",
     ("g1", "K5", "dot-verbose-simplify"): "303714f5af90ee60fbe18a37486efbf67707115c84215300f8033e588641068b",
     ("g1", "random", "json"): "b397170b0e1373fa3e71dcfc9cf7e31f542fceaef28a54c78b01bc40f05acffc",
     ("g1", "random", "json-simplify"): "b397170b0e1373fa3e71dcfc9cf7e31f542fceaef28a54c78b01bc40f05acffc",
     ("g1", "random", "json-verbose"): "b397170b0e1373fa3e71dcfc9cf7e31f542fceaef28a54c78b01bc40f05acffc",
-    ("g1", "random", "json-indent"): "ccca66d9ba1aec00f3e261a2d83f05731a5d606e84fd0916844f0a846be7147f",
     ("g1", "random", "dot"): "ccd140b099e57336a0de2e91d9145fa2583fbc0ca1b933af50a14141fd005915",
     ("g1", "random", "dot-verbose-simplify"): "ccd140b099e57336a0de2e91d9145fa2583fbc0ca1b933af50a14141fd005915",
     ("g2", "M", "json"): "c52231143873311303743cb56f17f8bab9f999b2a834ce7d3bdfedf3c3fd5c75",
     ("g2", "M", "json-simplify"): "c6bda6558d717c13c4659f2413dd87d11fe189e1a9c411ded661f7cbfa09fe2a",
     ("g2", "M", "json-verbose"): "71960b4fca9abb332b3eea30233b9b3c2611ca175b8744e5797c5a2cee193ae9",
-    ("g2", "M", "json-indent"): "b976e063b0ff4fb91e0150c1e7521a068a7a142da6727b046b765a6ca6fb3ca7",
     ("g2", "M", "dot"): "aadd68d0a9128b00d31e8eafd3c43d9147b03805ec0299b0bbe73d7d7a0986c2",
     ("g2", "M", "dot-verbose-simplify"): "440fb3412f4af401ae29938884ae222e8595b7284dc208df775ce97245a15d1d",
     ("g2", "K5", "json"): "29db529f070a420c4d58a4bf5cba272da1095fe60745f58004363ce836103ab7",
     ("g2", "K5", "json-simplify"): "29db529f070a420c4d58a4bf5cba272da1095fe60745f58004363ce836103ab7",
     ("g2", "K5", "json-verbose"): "958924edc6bb3955f865ea23964c26563ca6254e7e24022035dcca78dbf97720",
-    ("g2", "K5", "json-indent"): "a8907dc6f8de8cd6be637358cce3380e9bfe01f3e49fedb15f5341a156a1e5a4",
     ("g2", "K5", "dot"): "8b5f5cdb997a21ca65fdee17460f0ad59599ed49fc32dd7947f4f8e30a4725bc",
     ("g2", "K5", "dot-verbose-simplify"): "5b497fe3d73ed7660591055f9e748b4739393be1054323b7600e16f7e6f332e7",
     ("g2", "random", "json"): "b905a470f6d7f3ad2217c43f4d2f4660a030a01969955d692952f2f4d2da4b3b",
     ("g2", "random", "json-simplify"): "08837784559cce768b8c881c6fc93faf760a63edd89cc6c551690b4b6c15f1fd",
     ("g2", "random", "json-verbose"): "5fe56005056d54cefae90a5ec04f25b3a984b40411c0b4370545dede7edc2897",
-    ("g2", "random", "json-indent"): "a9a1af9f1f700fe5f1c9f38bf2340a681fed673fcd93b77807de311e190c793f",
     ("g2", "random", "dot"): "9bba047532e046837d82d52e9bd4417cda931b25ff22353be0ee5c04f68c7f48",
     ("g2", "random", "dot-verbose-simplify"): "13d0e6eb9dfc0f65eecc5a91f829595bfee5adbc31c43b8fca84487b719ec029",
     ("SS", "M", "json"): "c0d1704330b1d5da37c23904dbe36b3eaf24a011daffcd3df764fdaa3e8b31a9",
     ("SS", "M", "json-simplify"): "0907b2a75f5a8966aa7b13b6c5ebaf08cd86dfab209250cb4d5400a2733c97ec",
     ("SS", "M", "json-verbose"): "da38b7530d4da645b2276263a35bd163f6c84453a604cb56db4ba97f60dc887e",
-    ("SS", "M", "json-indent"): "989bdd390ad640455929f76baaaebe52f183be33136ced96395a2b6328b4efbf",
     ("SS", "M", "dot"): "282aaed4caf38cdbd90ec112231d5bcdcf400b6eb10b9b45bfbae62345e5a128",
     ("SS", "M", "dot-verbose-simplify"): "6a930dadf21d78eb53997a23de3105a7261a74b2c48d33e29023eaad555b928b",
     ("SSa", "M", "json"): "97fc3114949acf3067d090d5805b7f9d51c3401902299201a4a029061e9082c9",
     ("SSa", "M", "json-simplify"): "97fc3114949acf3067d090d5805b7f9d51c3401902299201a4a029061e9082c9",
     ("SSa", "M", "json-verbose"): "d8e5f9f652ec2f154c74d4dfd1ed7dce869776f99e183347a8cd28943154e176",
-    ("SSa", "M", "json-indent"): "986bd2d865b87605f961817aaeb98edb06f843388ad36682d23fd15fc5c27cd0",
     ("SSa", "M", "dot"): "1082e3e58e6f38402df939676c5158532d6753187cd27b2e406ef4394356d28e",
     ("SSa", "M", "dot-verbose-simplify"): "206b17fe5e5d02fa527f22f56f07138e654d1ab96933b64211d63b5f5c33de40",
 }
@@ -317,4 +314,4 @@ def test_export_structure_on_random_graphs():
                         assert 0 <= source < len(kinds) and 0 <= target < len(kinds)
                         assert kinds[source] in ("nonterminal", "intermediate", "packed")
                     if roots is None and not simplify:
-                        assert load_json(text).stats() == result.sppf.stats()
+                        assert export_stats(text) == result.sppf.stats()
