@@ -90,22 +90,14 @@ def _run_from_args(args: argparse.Namespace):
     return grammar, graph, result
 
 
-def _write_sppf(args: argparse.Namespace, result) -> None:
-    if not args.sppf:
-        return
-    out = FsPath(args.sppf)
-    if out.suffix == ".dot":
-        text = export_dot(result.sppf, result.roots, verbose=args.sppf_verbose,
-                          simplify=args.sppf_simplify)
-    elif out.suffix == ".json":
-        text = export_json(result.sppf, result.roots, verbose=args.sppf_verbose,
-                           simplify=args.sppf_simplify)
-    else:
-        raise CliError(f"unknown forest format {out.suffix!r} (use .dot or .json)")
-    out.write_text(text, encoding="utf-8")
+_FOREST_WRITERS = {".dot": export_dot, ".json": export_json}
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    if args.sppf:  # checked before the query, which then writes nothing
+        suffix = FsPath(args.sppf).suffix
+        if suffix not in _FOREST_WRITERS:
+            raise CliError(f"unknown forest format {suffix!r} (use .dot or .json)")
     grammar, _, result = _run_from_args(args)
     nonterminal = args.nonterminal or grammar.start
     if nonterminal not in grammar.nonterminals:
@@ -115,7 +107,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         FsPath(args.triples).write_text(triples, encoding="utf-8")
     else:
         sys.stdout.write(triples)
-    _write_sppf(args, result)
+    if args.sppf:
+        text = _FOREST_WRITERS[suffix](result.sppf, result.roots, verbose=args.sppf_verbose,
+                                       simplify=args.sppf_simplify)
+        FsPath(args.sppf).write_text(text, encoding="utf-8")
     print(f"roots: {len(result.roots)}", file=sys.stderr)
     return EXIT_MATCH if result.success else EXIT_EMPTY
 

@@ -1,8 +1,8 @@
 """Edge-labeled directed graphs: TSV and N-Triples ingestion, synthetic generators.
 
 Vertices are dense integers internally.  Files whose vertex columns are all
-ASCII digits keep their numbers as ids; symbolic vertices are interned in first
-appearance order and the name table is retained for output.
+canonical ASCII numbers keep them as ids; symbolic vertices are interned in
+first appearance order and the name table is retained for output.
 """
 
 from __future__ import annotations
@@ -165,8 +165,10 @@ def format_path(path: Path, graph: Graph | None = None) -> str:
 
 
 def _is_number(token: str) -> bool:
-    """ASCII digits only; ``str.isdigit`` also holds for ``"²"`` and ``"١"``."""
-    return token.isascii() and token.isdigit()
+    """Canonical ASCII digits: ``"0"`` or no leading zero, so that ``"01"``
+    and ``"1"`` are not one vertex.  ``str.isdigit`` also holds for ``"²"``
+    and ``"١"``."""
+    return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
 
 
 def _is_comment(line: str) -> bool:
@@ -177,10 +179,12 @@ def load_tsv(text: str) -> Graph:
     """Load a ``source<TAB>label<TAB>target`` edge list.
 
     Lines starting with ``#`` and blank lines are ignored.  If every vertex
-    is ASCII digits the numbers become ids directly; otherwise all vertices
-    are interned by first appearance.  Numeric ids may leave gaps, but none
-    may exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to
-    the largest id is part of the graph, and a default query visits them all.
+    is a canonical number (ASCII digits, ``0`` or no leading zero) the
+    numbers become ids directly; otherwise all vertices are interned by
+    first appearance, so ``01`` and ``1`` are two named vertices.  Numeric
+    ids may leave gaps, but none may exceed ``2**20 + 16 * (number of
+    distinct ids)``: every vertex up to the largest id is part of the graph,
+    and a default query visits them all.
     """
     rows: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -196,7 +200,8 @@ def load_tsv(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: empty field")
         rows.append((lineno, source, label, target))
     graph = Graph()
-    numeric = all(_is_number(s) and _is_number(t) for _, s, _, t in rows)
+    vertices = {v for _, s, _, t in rows for v in (s, t)}
+    numeric = all(map(_is_number, vertices))
     if not numeric:
         graph._names = []
         graph._ids = {}
@@ -206,7 +211,7 @@ def load_tsv(text: str) -> Graph:
         else:
             graph.add_edge(graph._intern(source), label, graph._intern(target))
     if numeric and graph.vertex_count > 2**20:  # below that, no id can exceed the limit
-        limit = 2**20 + 16 * len({int(v) for _, s, _, t in rows for v in (s, t)})
+        limit = 2**20 + 16 * len(vertices)  # canonical numbers: one token per id
         for lineno, source, _, target in rows:
             if max(int(source), int(target)) > limit:
                 raise GraphFormatError(

@@ -24,14 +24,17 @@ epsilon, nonterminal, intermediate, then by the rest of the key); packed
 nodes follow in parent order, and in (production, pivot) order under one
 parent.  Edges are sorted by (source id, target id), so a packed node's
 children are not listed left first: the left child is the one whose
-``right`` is the other's ``left``.
+``right`` is the other's ``left``.  :func:`export_json` writes the
+packed records, which hold only integers, as text, and passes the
+non-packed records and the edges to ``json.dumps``; its bytes equal one
+``json.dumps`` of the whole ``{"nodes": [...], "edges": [...]}`` object.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import countOf, itemgetter
 from typing import Iterable, Iterator
 
@@ -256,25 +259,38 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
     packed: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []
     packed_edges: list[tuple[int, int]] = []
-    for parent_number, nid in enumerate(pool):
+    add_edge, add_packed_edge = edges.append, packed_edges.append
+    source = len(pool)
+    for parent, nid in enumerate(pool):
         alternatives = packed_of[nid]
         if not alternatives:
             continue
-        lone = simplify and len(alternatives) == 1
-        for alternative in sorted(alternatives):
-            left, right = alternatives[alternative]
-            if lone:  # the parent takes the packed node's children
-                source, out = parent_number, edges
-            else:
-                source, out = len(pool) + len(packed), packed_edges
-                packed.append(alternative)
-                edges.append((parent_number, source))
+        if simplify and len(alternatives) == 1:  # the parent takes the packed node's children
+            ((left, right),) = alternatives.values()
             right = number[right]
             if left != DUMMY:
                 left = number[left]
-                out.append((source, min(left, right)))
-                right = max(left, right)
-            out.append((source, right))
+                if left < right:
+                    add_edge((parent, left))
+                else:
+                    add_edge((parent, right))
+                    right = left
+            add_edge((parent, right))
+            continue
+        order = sorted(alternatives)
+        packed += order
+        edges += zip(repeat(parent, len(order)), range(source, source + len(order)))
+        for left, right in map(alternatives.__getitem__, order):
+            right = number[right]
+            if left != DUMMY:
+                left = number[left]
+                if left < right:
+                    add_packed_edge((source, left))
+                else:
+                    add_packed_edge((source, right))
+                    right = left
+            add_packed_edge((source, right))
+            source += 1
     edges += packed_edges
     return pool, packed, edges
 
@@ -300,16 +316,26 @@ def export_json(
     simplify: bool = False,
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as compact,
-    single-line JSON."""
+    single-line JSON.
+
+    Non-packed records, whose labels may need escaping, and the edges go
+    through ``json.dumps``; packed records hold only integers and are written
+    as text.  The bytes equal ``json.dumps({"nodes": [...], "edges": [...]})``
+    over one dict per node record.
+    """
     pool, packed, edges = _layout(sppf, roots, simplify)
     records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
-    for number, (production, pivot) in enumerate(packed, len(pool)):
-        record: dict = {"id": number, "kind": "packed"}
+    nodes = [json.dumps(records, check_circular=False)[1:-1]] if records else []
+    if packed:
+        first = len(pool)
         if verbose:
-            record["production"] = production
-            record["pivot"] = pivot
-        records.append(record)
-    return json.dumps({"nodes": records, "edges": edges}, check_circular=False)
+            record = '{"id": %d, "kind": "packed", "production": %d, "pivot": %d}'
+            nodes.append(", ".join([record % (n, *alt) for n, alt in enumerate(packed, first)]))
+        else:
+            ids = ', "kind": "packed"}, {"id": '.join(map(str, range(first, first + len(packed))))
+            nodes.append(f'{{"id": {ids}, "kind": "packed"}}')
+    edges_text = json.dumps(edges, check_circular=False)
+    return '{"nodes": [%s], "edges": %s}' % (", ".join(nodes), edges_text)
 
 
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate

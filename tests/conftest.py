@@ -7,7 +7,7 @@ import pytest
 
 from cfpq import Graph, QueryEngine, load_tsv, parse_grammar, run_query, size_audit
 from cfpq.oracle import accepts
-from cfpq.sppf import DUMMY, SppfStats
+from cfpq.sppf import DUMMY, SppfStats, _node_record, _reachable
 
 G1_TEXT = "S -> a S b\nS -> Middle\nMiddle -> a b"
 G0_TEXT = "S -> eps\nS -> a S b\nS -> S S"
@@ -96,6 +96,51 @@ def export_stats(text: str) -> SppfStats:
     kinds_in_order = ("terminal", "epsilon", "nonterminal", "intermediate", "packed")
     counts = (kinds.count(kind) for kind in kinds_in_order)
     return SppfStats(*counts, nodes=len(kinds), edges=len(payload["edges"]))
+
+
+def reference_layout(sppf, roots, simplify):
+    """``sppf._layout`` as one loop over each parent's sorted alternatives."""
+    keys, packed_of = sppf._keys, sppf._packed
+    pool = range(len(keys)) if roots is None else _reachable(sppf, (r.id for r in roots))
+    pool = sorted(pool, key=keys.__getitem__)
+    number = dict(zip(pool, range(len(pool))))
+    packed = []
+    edges = []
+    packed_edges = []
+    for parent_number, nid in enumerate(pool):
+        alternatives = packed_of[nid]
+        if not alternatives:
+            continue
+        lone = simplify and len(alternatives) == 1
+        for alternative in sorted(alternatives):
+            left, right = alternatives[alternative]
+            if lone:  # the parent takes the packed node's children
+                source, out = parent_number, edges
+            else:
+                source, out = len(pool) + len(packed), packed_edges
+                packed.append(alternative)
+                edges.append((parent_number, source))
+            right = number[right]
+            if left != DUMMY:
+                left = number[left]
+                out.append((source, min(left, right)))
+                right = max(left, right)
+            out.append((source, right))
+    edges += packed_edges
+    return pool, packed, edges
+
+
+def reference_export_json(sppf, roots=None, *, verbose=False, simplify=False) -> str:
+    """``export_json`` as one ``json.dumps`` over a dict per node record."""
+    pool, packed, edges = reference_layout(sppf, roots, simplify)
+    records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
+    for number, (production, pivot) in enumerate(packed, len(pool)):
+        record: dict = {"id": number, "kind": "packed"}
+        if verbose:
+            record["production"] = production
+            record["pivot"] = pivot
+        records.append(record)
+    return json.dumps({"nodes": records, "edges": edges}, check_circular=False)
 
 
 def linear_graph(word: str) -> Graph:

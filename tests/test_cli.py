@@ -141,6 +141,32 @@ class TestQuery:
                      "--starts", token]) == 2
         assert "is not a number" in capsys.readouterr().err
 
+    def test_zero_padded_vertices_stay_apart(self, tmp_path, capsys):
+        graph = tmp_path / "padded.tsv"
+        graph.write_text("01\ta\t1\n1\tb\t01\n", encoding="utf-8")
+        grammar = tmp_path / "ab.cfg"
+        grammar.write_text("S -> a b\n", encoding="utf-8")
+        assert main(["query", "--graph", str(graph), "--grammar", str(grammar)]) == 0
+        assert capsys.readouterr().out == "S\t01\t01\n"
+
+    def test_zero_padded_vertex_on_a_numeric_graph_exits_2(self, graph_file, grammar_file, capsys):
+        assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
+                     "--starts", "00"]) == 2
+        assert "is not a number" in capsys.readouterr().err
+
+    def test_unknown_forest_suffix_exits_before_the_query(self, tmp_path, graph_file,
+                                                          grammar_file, capsys):
+        triples = tmp_path / "t.tsv"
+        base = ["query", "--graph", graph_file, "--grammar", grammar_file,
+                "--sppf", str(tmp_path / "out.txt")]
+        assert main(base) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown forest format '.txt'" in captured.err
+        assert main(base + ["--triples", str(triples)]) == 2
+        assert not triples.exists()
+        assert not (tmp_path / "out.txt").exists()
+
     def test_ntriples_input(self, tmp_path):
         graph = tmp_path / "onto.nt"
         graph.write_text(Q1_NT, encoding="utf-8")

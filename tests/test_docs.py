@@ -1,12 +1,32 @@
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import cfpq
+from cfpq import complete_graph, export_json, parse_grammar, run_query
+from conftest import G0_TEXT
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_lists_the_public_names():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     listing = readme.split("`import cfpq` exports", 1)[1].split("; everything else", 1)[0]
     assert re.findall(r"`(\w+)`", listing) == cfpq.__all__
+
+
+def test_readme_forest_json_example_uses_the_exported_keys():
+    section = README.read_text(encoding="utf-8").split("## Forest exports", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    # g0 on K3 has every node kind, and parents with and without ambiguity
+    result = run_query(complete_graph(3, "ab"), parse_grammar(G0_TEXT))
+    emitted: dict[str, set[frozenset[str]]] = {}
+    for verbose in (False, True):
+        payload = json.loads(export_json(result.sppf, result.roots, verbose=verbose))
+        assert set(example) == set(payload)
+        for node in payload["nodes"]:
+            emitted.setdefault(node["kind"], set()).add(frozenset(node))
+    for node in example["nodes"]:
+        assert frozenset(node) in emitted[node["kind"]], node

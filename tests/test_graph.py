@@ -110,6 +110,19 @@ class TestLoadTsv:
         with pytest.raises(KeyError, match="is not a number"):
             g.resolve_vertex(token)
 
+    def test_zero_padded_tokens_are_names(self):
+        g = load_tsv("01\ta\t1\n1\tb\t001")
+        assert [g.vertex_name(v) for v in g.vertices()] == ["01", "1", "001"]
+        assert g.edges() == [(0, "a", 1), (1, "b", 2)]
+        assert g.resolve_vertex("01") == 0
+
+    @pytest.mark.parametrize("token", ["001", "00"])
+    def test_zero_padded_tokens_are_not_numeric_ids(self, token):
+        g = load_tsv("0\ta\t1")
+        assert g.resolve_vertex("0") == 0
+        with pytest.raises(KeyError, match="is not a number"):
+            g.resolve_vertex(token)
+
     def test_sparse_numeric_ids_within_the_bound_load(self):
         assert load_tsv("0\ta\t1000").vertex_count == 1001
         # two distinct ids allow up to 2**20 + 32

@@ -8,7 +8,7 @@ import pytest
 
 from cfpq.grammar import parse_grammar
 from cfpq.graph import complete_graph, load_tsv
-from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json
+from cfpq.sppf import DUMMY, Sppf, SppfStats, _layout, export_dot, export_json
 from conftest import (
     G0_TEXT,
     G1_TEXT,
@@ -17,6 +17,8 @@ from conftest import (
     export_stats,
     linear_graph,
     random_graph,
+    reference_export_json,
+    reference_layout,
     run_checked,
 )
 
@@ -315,3 +317,36 @@ def test_export_structure_on_random_graphs():
                         assert kinds[source] in ("nonterminal", "intermediate", "packed")
                     if roots is None and not simplify:
                         assert export_stats(text) == result.sppf.stats()
+
+
+def _assert_matches_reference(result):
+    for roots in (None, result.roots, ()):
+        for simplify in (False, True):
+            layout = _layout(result.sppf, roots, simplify)
+            assert layout == reference_layout(result.sppf, roots, simplify)
+            for verbose in (False, True):
+                text = export_json(result.sppf, roots, verbose=verbose, simplify=simplify)
+                expected = reference_export_json(
+                    result.sppf, roots, verbose=verbose, simplify=simplify
+                )
+                assert text == expected, (roots, verbose, simplify)
+
+
+def test_export_equals_reference_encoder_on_random_graphs():
+    rng = random.Random(8080)
+    grammars = [parse_grammar(text) for text in EXPORT_GRAMMARS.values()]
+    for _ in range(12):
+        graph = random_graph(rng, max_vertices=6, labels="ab")
+        for grammar in grammars:
+            _assert_matches_reference(run_checked(graph, grammar))
+
+
+def test_export_equals_reference_encoder_with_escaped_labels():
+    graph = load_tsv('x\t"\ty\ny\t\\\tz\nz\té\tx\nx\té\tx\ny\t"\tx')
+    grammar = parse_grammar('S -> " S \\\nS -> é\nS -> S S\nS -> eps')
+    result = run_checked(graph, grammar)
+    assert result.success
+    text = export_json(result.sppf, result.roots, verbose=True)
+    for label in ('"\\""', '"\\\\"', '"\\u00e9"'):
+        assert f'"label": {label}' in text
+    _assert_matches_reference(result)
