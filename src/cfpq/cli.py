@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 
 from . import bench as bench_mod
 from .engine import run_query, size_audit
-from .grammar import Grammar, GrammarError, build_parse_table, parse_grammar
+from .grammar import Grammar, GrammarError, parse_grammar
 from .graph import Graph, GraphFormatError, format_path, load_ntriples, load_tsv
 from .results import PathQueryLimits, enumerate_paths, format_triples
 from .sppf import export_dot, export_json
@@ -56,38 +56,31 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return load_tsv(text)
 
 
+def _resolve_vertex(graph: Graph, token: str) -> int:
+    try:
+        return graph.resolve_vertex(token)
+    except KeyError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _parse_vertex_set(graph: Graph, spec: str) -> frozenset[int] | None:
     if spec == "all":
         return None
-    vertices = set()
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            vertices.add(graph.resolve_vertex(token))
-        except KeyError as exc:
-            raise CliError(str(exc)) from exc
+    vertices = {_resolve_vertex(graph, token) for token in map(str.strip, spec.split(",")) if token}
     if not vertices:
         raise CliError(f"empty vertex list {spec!r}")
     return frozenset(vertices)
 
 
-def _run_from_args(args: argparse.Namespace):
+def _load_inputs(args: argparse.Namespace):
+    """Load and check the grammar, graph, start and final vertices.  A
+    command checks its other flags before it runs the query too, so that a
+    bad flag costs no query."""
     grammar = _load_grammar(args.grammar)
     graph = _load_graph(args)
     starts = _parse_vertex_set(graph, args.starts)
     finals = _parse_vertex_set(graph, args.finals)
-    table = build_parse_table(grammar, lookahead=not args.no_lookahead)
-    result = run_query(
-        graph,
-        grammar,
-        starts,
-        finals,
-        table=table,
-        worklist=args.worklist,
-    )
-    return grammar, graph, result
+    return grammar, graph, starts, finals
 
 
 _FOREST_WRITERS = {".dot": export_dot, ".json": export_json}
@@ -98,10 +91,11 @@ def cmd_query(args: argparse.Namespace) -> int:
         suffix = FsPath(args.sppf).suffix
         if suffix not in _FOREST_WRITERS:
             raise CliError(f"unknown forest format {suffix!r} (use .dot or .json)")
-    grammar, _, result = _run_from_args(args)
+    grammar, graph, starts, finals = _load_inputs(args)
     nonterminal = args.nonterminal or grammar.start
     if nonterminal not in grammar.nonterminals:
         raise CliError(f"unknown nonterminal {nonterminal!r}")
+    result = run_query(graph, grammar, starts, finals)
     triples = format_triples(result, nonterminal)
     if args.triples:
         FsPath(args.triples).write_text(triples, encoding="utf-8")
@@ -118,12 +112,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_paths(args: argparse.Namespace) -> int:
     if args.max_count < 1 or args.max_length < 1:
         raise CliError("--max-count and --max-length must be at least 1")
-    grammar, graph, result = _run_from_args(args)
-    try:
-        source = graph.resolve_vertex(args.source)
-        target = graph.resolve_vertex(args.target)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    grammar, graph, starts, finals = _load_inputs(args)
+    source = _resolve_vertex(graph, args.source)
+    target = _resolve_vertex(graph, args.target)
+    result = run_query(graph, grammar, starts, finals)
     limits = PathQueryLimits(max_paths=args.max_count, max_length=args.max_length)
     emitted = 0
     for path in enumerate_paths(result, source, target, limits):
@@ -133,7 +125,8 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    grammar, graph, result = _run_from_args(args)
+    grammar, graph, starts, finals = _load_inputs(args)
+    result = run_query(graph, grammar, starts, finals)
     stats = result.sppf.stats()
     print(f"graph: {graph.vertex_count} vertices, {graph.edge_count} edges")
     print(
@@ -218,10 +211,6 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated start vertices, or 'all'")
     parser.add_argument("--finals", default="all",
                         help="comma-separated final vertices, or 'all'")
-    parser.add_argument("--no-lookahead", action="store_true",
-                        help="predict every alternative instead of using the table")
-    parser.add_argument("--worklist", choices=("lifo", "fifo"), default="lifo",
-                        help="descriptor processing order")
 
 
 def build_parser() -> argparse.ArgumentParser:

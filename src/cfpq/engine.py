@@ -3,9 +3,10 @@
 One :class:`QueryEngine` owns a single execution: the descriptor worklist,
 the merged-stack nodes and the forest under construction.  A descriptor is a
 suspended configuration (slot, stack node, vertex, forest node); each is
-processed exactly once.  Input positions are graph vertices, so consuming a
-terminal fans out over all matching out-edges, and the run starts from every
-requested start vertex at once.
+processed exactly once, last in first out, though any order gives the same
+answer.  Input positions are graph vertices, so consuming a terminal fans out
+over all matching out-edges, and the run starts from every requested start
+vertex at once.
 
 Forest nodes are integer ids into the :class:`~cfpq.sppf.Sppf` store, and
 ``DUMMY = -1`` is the empty forest before anything matched, so descriptors
@@ -81,17 +82,13 @@ class QueryEngine:
         final_vertices: Iterable[int] | None = None,
         *,
         table: ParseTable | None = None,
-        worklist: str = "lifo",
     ):
-        if worklist not in ("lifo", "fifo"):
-            raise ValueError(f"unknown worklist order {worklist!r}")
         self.graph = graph
         self.grammar = grammar
         self.table = table if table is not None else grammar.parse_table
         self.start_vertices = _vertex_set(start_vertices, graph.vertex_count)
         self.final_vertices = _vertex_set(final_vertices, graph.vertex_count)
         self.sppf = Sppf(grammar)
-        self._worklist = worklist
         self._pending: deque = deque()
         self._seen: set = set()
         self._gss: dict[tuple, GssNode] = {}
@@ -186,10 +183,10 @@ class QueryEngine:
 
     def run(self) -> QueryResult:
         pending = self._pending
-        pop_next = pending.pop if self._worklist == "lifo" else pending.popleft
+        pop = pending.pop
         processing = self.processing
         while pending:
-            processing(pop_next())
+            processing(pop())
         start = self.grammar.start
         roots = sorted(
             (vertex, right, popped)
@@ -232,22 +229,13 @@ def run_query(
     final_vertices: Iterable[int] | None = None,
     *,
     table: ParseTable | None = None,
-    worklist: str = "lifo",
 ) -> QueryResult:
     """Run a context-free path query and return its result handle.
 
     Defaults query all vertices to all vertices.  An empty root set is a
     valid outcome, not an error.
     """
-    engine = QueryEngine(
-        graph,
-        grammar,
-        start_vertices,
-        final_vertices,
-        table=table,
-        worklist=worklist,
-    )
-    return engine.run()
+    return QueryEngine(graph, grammar, start_vertices, final_vertices, table=table).run()
 
 
 @dataclass(frozen=True)

@@ -247,12 +247,11 @@ def compute_first(grammar: Grammar) -> dict[str, frozenset[str]]:
     return {a: frozenset(s) for a, s in first.items()}
 
 
-def build_parse_table(grammar: Grammar, lookahead: bool = True) -> ParseTable:
-    """Build the prediction table.
+def build_parse_table(grammar: Grammar) -> ParseTable:
+    """Build the prediction table from FIRST.
 
-    With ``lookahead=False`` every cell of a nonterminal holds all of its
-    alternatives; query results must not depend on the choice (the table is
-    an optimization, not a filter).
+    The table is an optimization, not a filter: a table whose every cell
+    held all alternatives would give the same query results.
     """
     entries: dict[tuple[str, str], list[GrammarSlot]] = {}
     nullable_alts: dict[str, tuple[GrammarSlot, ...]] = {}
@@ -262,14 +261,6 @@ def build_parse_table(grammar: Grammar, lookahead: bool = True) -> ParseTable:
             s for s in alts if all(sym in grammar.nullable for sym in s.production.rhs)
         )
         for s in alts:
-            labels = (
-                _first_of_sequence(s.production.rhs, grammar.first, grammar.nullable)
-                if lookahead
-                else grammar.terminals
-            )
-            for t in labels:
+            for t in _first_of_sequence(s.production.rhs, grammar.first, grammar.nullable):
                 entries.setdefault((a, t), []).append(s)
-    return ParseTable(
-        {k: tuple(v) for k, v in entries.items()},
-        nullable_alts,
-    )
+    return ParseTable({k: tuple(v) for k, v in entries.items()}, nullable_alts)

@@ -223,11 +223,16 @@ def load_tsv(text: str) -> Graph:
 
 _NT_IRI = r"<[^<>\s]*>"
 _NT_BLANK = r"_:[A-Za-z0-9][A-Za-z0-9._-]*"
-_NT_LITERAL = r'"(?:[^"\\]|\\.)*"(?:\^\^' + _NT_IRI + r"|@[A-Za-z0-9-]+)?"
+_NT_ESCAPE = r"\\(?:[tbnrf\"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_NT_LITERAL = rf'"(?:[^"\\]|{_NT_ESCAPE})*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]+)?'
 _NT_LINE = re.compile(
     rf"^\s*({_NT_IRI}|{_NT_BLANK})\s+({_NT_IRI})\s+({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})\s*(\.?)\s*$"
 )
-_LITERAL_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_LITERAL_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'",
+                    "\\": "\\"}
+# A literal's vertex name escapes the characters that would split an output
+# field or line; IRIs and blank nodes cannot hold tabs or line breaks.
+_NAME_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
 def compact_uri(token: str) -> str:
@@ -240,16 +245,26 @@ def compact_uri(token: str) -> str:
     return uri.rstrip("/").rsplit("/", 1)[-1] or uri
 
 
-def _literal_value(token: str) -> str:
-    body = token[1 : token.rindex('"')]
-    return re.sub(r"\\(.)", lambda m: _LITERAL_ESCAPES.get(m.group(1), m.group(1)), body)
+def _unescape(match: re.Match) -> str:
+    escape = match.group()
+    if len(escape) == 2:
+        return _LITERAL_ESCAPES[escape[1]]
+    code = int(escape[2:], 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise GraphFormatError(f"escape {escape} is not a Unicode scalar value")
+    return chr(code)
+
+
+def _literal_name(token: str) -> str:
+    value = re.sub(_NT_ESCAPE, _unescape, token[1 : token.rindex('"')])
+    return value.translate(_NAME_ESCAPES)
 
 
 def _node_name(token: str) -> str:
     if token.startswith("<"):
         return compact_uri(token)
     if token.startswith('"'):
-        return _literal_value(token)
+        return _literal_name(token)
     return token  # blank node, keep the _: prefix as a namespace
 
 
@@ -258,7 +273,11 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
 
     For a triple ``(s, p, o)`` the edges ``(s, p, o)`` and
     ``(o, p + inverse_suffix, s)`` are added.  URIs are compacted to their
-    fragment or last path segment; literals become vertices.
+    fragment or last path segment.  Literals become vertices: their escapes
+    are decoded, then a backslash, tab, line feed and carriage return in the
+    value are written as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``, so
+    distinct values keep distinct names and each name fits on one output
+    line.
     """
     graph = Graph()
     graph._names = []
@@ -271,9 +290,13 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
             raise GraphFormatError(f"line {lineno}: malformed triple")
         if m.group(4) != ".":
             raise GraphFormatError(f"line {lineno}: unterminated statement (missing '.')")
+        try:
+            obj_name = _node_name(m.group(3))
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
         subj = graph._intern(_node_name(m.group(1)))
         pred = compact_uri(m.group(2))
-        obj = graph._intern(_node_name(m.group(3)))
+        obj = graph._intern(obj_name)
         graph.add_edge(subj, pred, obj)
         graph.add_edge(obj, pred + inverse_suffix, subj)
     return graph

@@ -260,37 +260,30 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
     edges: list[tuple[int, int]] = []
     packed_edges: list[tuple[int, int]] = []
     add_edge, add_packed_edge = edges.append, packed_edges.append
-    source = len(pool)
+    next_packed = len(pool)
     for parent, nid in enumerate(pool):
         alternatives = packed_of[nid]
         if not alternatives:
             continue
-        if simplify and len(alternatives) == 1:  # the parent takes the packed node's children
-            ((left, right),) = alternatives.values()
-            right = number[right]
-            if left != DUMMY:
-                left = number[left]
-                if left < right:
-                    add_edge((parent, left))
-                else:
-                    add_edge((parent, right))
-                    right = left
-            add_edge((parent, right))
-            continue
         order = sorted(alternatives)
-        packed += order
-        edges += zip(repeat(parent, len(order)), range(source, source + len(order)))
+        if simplify and len(order) == 1:  # the parent takes the packed node's children
+            source, add = parent, add_edge
+        else:
+            source, add = next_packed, add_packed_edge
+            next_packed += len(order)
+            packed += order
+            edges += zip(repeat(parent, len(order)), range(source, next_packed))
         for left, right in map(alternatives.__getitem__, order):
             right = number[right]
             if left != DUMMY:
                 left = number[left]
                 if left < right:
-                    add_packed_edge((source, left))
+                    add((source, left))
                 else:
-                    add_packed_edge((source, right))
+                    add((source, right))
                     right = left
-            add_packed_edge((source, right))
-            source += 1
+            add((source, right))
+            source += 1  # the next packed id; a lone alternative has no next
     edges += packed_edges
     return pool, packed, edges
 

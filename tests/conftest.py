@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 
 import pytest
 
-from cfpq import Graph, QueryEngine, load_tsv, parse_grammar, run_query, size_audit
+from cfpq import Graph, ParseTable, QueryEngine, load_tsv, parse_grammar, size_audit
 from cfpq.oracle import accepts
 from cfpq.sppf import DUMMY, SppfStats, _node_record, _reachable
 
@@ -45,9 +46,34 @@ def graph_m():
     return load_tsv(M_TSV)
 
 
+class _FifoDeque(deque):
+    """A pending deque that the engine's ``pop`` drains first in first out."""
+
+    pop = deque.popleft
+
+
+def query_engine(graph, grammar, starts=None, finals=None, *, worklist="lifo", **kwargs):
+    """A ``QueryEngine`` whose descriptors are processed in ``worklist``
+    order: ``"lifo"``, the engine's own, or ``"fifo"``."""
+    assert worklist in ("lifo", "fifo"), worklist
+    engine = QueryEngine(graph, grammar, starts, finals, **kwargs)
+    if worklist == "fifo":
+        engine._pending = _FifoDeque(engine._pending)
+    return engine
+
+
+def blind_table(grammar):
+    """A prediction table whose every cell holds all alternatives, so
+    lookahead prunes nothing."""
+    nonterminals, table = grammar.nonterminals, grammar.parse_table
+    entries = {(a, t): grammar.initial_slots[a] for a in nonterminals for t in grammar.terminals}
+    return ParseTable(entries, {a: table.nullable_alternatives(a) for a in nonterminals})
+
+
 def run_checked(graph, grammar, starts=None, finals=None, **kwargs):
-    """run_query plus the size audit every test-suite query must pass."""
-    return audited(run_query(graph, grammar, starts, finals, **kwargs))
+    """A query, as ``run_query`` runs it, plus the size audit every
+    test-suite query must pass; ``worklist`` is as in :func:`query_engine`."""
+    return audited(query_engine(graph, grammar, starts, finals, **kwargs).run())
 
 
 def audited(result):
@@ -65,7 +91,7 @@ def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs)
     ``(kind, label, left, right)`` (the slot key as label of an intermediate
     node), and ``"$"`` stands for the empty forest.
     """
-    engine = QueryEngine(graph, grammar, starts, finals, **kwargs)
+    engine = query_engine(graph, grammar, starts, finals, **kwargs)
     processed = []
     process = engine.processing
 

@@ -178,23 +178,33 @@ class TestQuery:
         assert code == 0
         assert read_lines(out) == ["S\tc1\tc1", "S\tc1\tc2", "S\tc2\tc1", "S\tc2\tc2"]
 
-    def test_byte_determinism_across_worklists(self, tmp_path, graph_file, grammar_file):
-        outs = []
-        for order in ("lifo", "fifo"):
-            out = tmp_path / f"{order}.tsv"
-            assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
-                         "--worklist", order, "--triples", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_ntriples_literal_with_tab_or_line_break_stays_on_one_line(self, tmp_path, capsys):
+        graph = tmp_path / "literals.nt"
+        graph.write_text('<i> <type> "a\\tb" .\n<i> <type> "c\td\\ne" .\n', encoding="utf-8")
+        assert main(["query", "--graph", str(graph), "--format", "ntriples", "--grammar", "q1",
+                     "--starts", "a\\tb"]) == 0
+        assert capsys.readouterr().out == "S\ta\\tb\ta\\tb\nS\ta\\tb\tc\\td\\ne\n"
 
-    def test_no_lookahead_same_output(self, tmp_path, graph_file, grammar_file):
-        out_a = tmp_path / "a.tsv"
-        out_b = tmp_path / "b.tsv"
-        assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
-                     "--triples", str(out_a)]) == 0
-        assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
-                     "--no-lookahead", "--triples", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["query", "--nonterminal", "Nope"], "unknown nonterminal 'Nope'"),
+        (["query", "--starts", ","], "empty vertex list ','"),
+        (["paths", "--from", "9", "--to", "0"], "vertex 9 out of range"),
+        (["paths", "--from", "0", "--to", "x"], "vertex 'x' is not a number"),
+    ],
+    ids=["nonterminal", "empty-starts", "from", "to"],
+)
+def test_bad_argument_exits_2_before_the_query(graph_file, grammar_file, argv, message,
+                                               monkeypatch, capsys):
+    def no_query(*args, **kwargs):
+        raise AssertionError("the query ran")
+
+    monkeypatch.setattr("cfpq.cli.run_query", no_query)
+    command, *flags = argv
+    assert main([command, "--graph", graph_file, "--grammar", grammar_file, *flags]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestPaths:
@@ -265,6 +275,13 @@ class TestBench:
 
     def test_empty_size_range_exits_2(self, capsys):
         assert main(["bench", "--grammar", "g2", "--sizes", "5..2"]) == 2
+
+    @pytest.mark.parametrize(
+        "sizes, message", [("0..3", "sizes must be at least 1"), ("2,x", "bad --sizes value")]
+    )
+    def test_bad_sizes_exit_2(self, sizes, message, capsys):
+        assert main(["bench", "--grammar", "g2", "--sizes", sizes]) == 2
+        assert message in capsys.readouterr().err
 
     def test_with_loops_flag(self, capsys):
         assert main(["bench", "--grammar", "g0", "--sizes", "2..3", "--with-loops"]) == 0

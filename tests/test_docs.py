@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 from pathlib import Path
 
 import cfpq
 from cfpq import complete_graph, export_json, parse_grammar, run_query
+from cfpq.cli import _add_input_flags
 from conftest import G0_TEXT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,6 +17,15 @@ def test_readme_lists_the_public_names():
     readme = README.read_text(encoding="utf-8")
     listing = readme.split("`import cfpq` exports", 1)[1].split("; everything else", 1)[0]
     assert re.findall(r"`(\w+)`", listing) == cfpq.__all__
+
+
+def test_readme_common_flags_are_the_input_flags():
+    readme = README.read_text(encoding="utf-8")
+    listing = readme.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_input_flags(parser)
+    registered = [flag for action in parser._actions for flag in action.option_strings]
+    assert sorted(re.findall(r"`(--[\w-]+)", listing)) == sorted(registered)
 
 
 def test_readme_forest_json_example_uses_the_exported_keys():

@@ -6,12 +6,19 @@ import random
 import pytest
 
 from cfpq.engine import QueryEngine, run_query, size_audit
-from cfpq.grammar import Grammar, build_parse_table, parse_grammar
+from cfpq.grammar import Grammar, parse_grammar
 from cfpq.graph import Graph, complete_graph, load_tsv
 from cfpq.oracle import hellings_pairs, hellings_slice
 from cfpq.results import reachable_pairs
 from cfpq.sppf import DUMMY, export_json
-from conftest import M_TSV, linear_graph, random_graph, run_checked, run_recording_dispatches
+from conftest import (
+    M_TSV,
+    blind_table,
+    linear_graph,
+    random_graph,
+    run_checked,
+    run_recording_dispatches,
+)
 
 
 def fresh_engine(graph_m, g1):
@@ -191,10 +198,6 @@ class TestOrderIndependence:
             assert lifo.engine.descriptors == fifo.engine.descriptors
             assert lifo.engine.gss_nodes == fifo.engine.gss_nodes
 
-    def test_unknown_worklist_rejected(self, graph_m, g1):
-        with pytest.raises(ValueError):
-            QueryEngine(graph_m, g1, worklist="random")
-
 
 class TestLookaheadIsOnlyAnOptimization:
     def test_fixtures(self, g0, g1, g2):
@@ -204,20 +207,18 @@ class TestLookaheadIsOnlyAnOptimization:
             (g2, complete_graph(3, {"a", "b"})),
         ]:
             fast = run_checked(graph, grammar)
-            blind = run_checked(
-                graph, grammar, table=build_parse_table(grammar, lookahead=False)
-            )
+            blind = run_checked(graph, grammar, table=blind_table(grammar))
             assert fast.root_pairs() == blind.root_pairs()
             for nt in grammar.nonterminals:
                 assert reachable_pairs(fast, nt) == reachable_pairs(blind, nt)
 
     def test_random_graphs(self, g1):
         rng = random.Random(99)
-        blind_table = build_parse_table(g1, lookahead=False)
+        table = blind_table(g1)
         for _ in range(15):
             graph = random_graph(rng, max_vertices=7, labels="ab")
             fast = run_checked(graph, g1)
-            blind = run_checked(graph, g1, table=blind_table)
+            blind = run_checked(graph, g1, table=table)
             assert fast.root_pairs() == blind.root_pairs()
 
 

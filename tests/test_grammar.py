@@ -62,6 +62,10 @@ class TestParseGrammar:
         with pytest.raises(GrammarError, match=fragment):
             parse_grammar(text)
 
+    def test_start_symbol_needs_a_rule(self):
+        with pytest.raises(GrammarError, match="start symbol 'X' has no rule"):
+            Grammar([("S", ("a",))], start="X")
+
     def test_empty_rule_set(self):
         with pytest.raises(GrammarError, match="no rules"):
             parse_grammar("# only a comment\n")
@@ -95,12 +99,6 @@ class TestParseTable:
         assert table.cell("S", "b") == ()
         # both the epsilon production and the nullable S S alternative qualify
         assert {s.key for s in table.nullable_alternatives("S")} == {(0, 0), (2, 0)}
-
-    def test_without_lookahead_every_cell_has_all_alternatives(self, g1):
-        table = build_parse_table(g1, lookahead=False)
-        for t in g1.terminals:
-            assert {s.key for s in table.cell("S", t)} == {(0, 0), (1, 0)}
-            assert {s.key for s in table.cell("Middle", t)} == {(2, 0)}
 
 
 class TestSlots:

@@ -134,6 +134,12 @@ class TestLoadTsv:
         with pytest.raises(GraphFormatError, match=f"line {line}: vertex id"):
             load_tsv(text)
 
+    @pytest.mark.parametrize("text", ["0\t\t1", "0\ta\t1\n0\ta\t "])
+    def test_empty_field_is_rejected(self, text):
+        line = text.count("\n") + 1
+        with pytest.raises(GraphFormatError, match=f"line {line}: empty field"):
+            load_tsv(text)
+
 
 class TestLoadNtriples:
     def test_single_triple_yields_both_directions(self):
@@ -161,6 +167,22 @@ class TestLoadNtriples:
         names = {g.vertex_name(v) for v in g.vertices()}
         assert names == {"_:x", 'a b "quoted"'}
 
+    def test_escapes_are_decoded(self):
+        g = load_ntriples(
+            '<s> <p> "\\u00e9" .\n<s> <p> "u00e9" .\n<s> <p> "\\U0001F600\\b\\f\\\'" .'
+        )
+        names = [g.vertex_name(v) for v in g.vertices()]
+        assert names == ["s", "\u00e9", "u00e9", "\U0001F600\b\f'"]
+
+    def test_tabs_line_breaks_and_backslashes_are_escaped_in_names(self):
+        # an escaped tab, a raw tab, a backslash before t, and line breaks
+        g = load_ntriples(
+            '<s> <p> "a\\tb" .\n<s> <p> "a\tb" .\n<s> <p> "a\\\\tb" .\n<s> <p> "c\\nd\\re" .'
+        )
+        names = [g.vertex_name(v) for v in g.vertices()]
+        assert names == ["s", "a\\tb", "a\\\\tb", "c\\nd\\re"]
+        assert [g.resolve_vertex(name) for name in names] == [0, 1, 2, 3]
+
     def test_inverse_suffix_flag(self):
         g = load_ntriples("<a> <p> <b> .", inverse_suffix="_inv")
         assert {lab for _, lab, _ in g.edges()} == {"p", "p_inv"}
@@ -175,6 +197,9 @@ class TestLoadNtriples:
             ("<a> <p> .", "line 1: malformed"),
             ("<a> <p> <b>", "unterminated"),
             ("<a> <p> <b> .\nnot a triple .", "line 2"),
+            ('<a> <p> "\\q" .', "line 1: malformed"),
+            ('<a> <p> <b> .\n<a> <p> "\\uD800" .', "line 2: escape"),
+            ('<a> <p> "\\U00110000" .', "line 1: escape"),
         ],
     )
     def test_malformed_lines(self, text, fragment):

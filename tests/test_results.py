@@ -15,7 +15,7 @@ from cfpq.results import (
     reachable_pairs,
 )
 from cfpq.grammar import parse_grammar
-from cfpq.graph import Graph
+from cfpq.graph import Graph, load_ntriples
 from conftest import (
     P0,
     P1,
@@ -217,6 +217,16 @@ class TestExtractSubgraph:
         sub = extract_subgraph(result)
         assert (3, "c", 2) not in set(sub.edges())
         assert set(sub.edges()) <= set(graph.edges())
+
+    def test_ntriples_vertex_names_are_kept(self):
+        graph = load_ntriples('<i> <type> <c1> .\n<i> <type> <c2> .\n<i> <label> "x" .')
+        result = run_checked(graph, parse_grammar("S -> type_r type"))
+        sub = extract_subgraph(result)
+        assert [sub.vertex_name(v) for v in sub.vertices()] == ["i", "c1", "c2", "x"]
+        assert {(sub.vertex_name(u), label, sub.vertex_name(v)) for u, label, v in sub.edges()} == {
+            ("i", "type", "c1"), ("i", "type", "c2"), ("c1", "type_r", "i"), ("c2", "type_r", "i"),
+        }
+        assert sub.resolve_vertex("c2") == graph.resolve_vertex("c2")
 
 
 class TestCompletenessAtSmallScale:
