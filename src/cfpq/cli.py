@@ -83,6 +83,20 @@ def _load_inputs(args: argparse.Namespace):
     return grammar, graph, starts, finals
 
 
+def _check_output(path: str | None) -> None:
+    """Fail before the query when an output file's directory is missing."""
+    directory = FsPath(path or ".").parent
+    if not directory.is_dir():
+        raise CliError(f"cannot write {path!r}: no directory {str(directory)!r}")
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        FsPath(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}") from exc
+
+
 _FOREST_WRITERS = {".dot": export_dot, ".json": export_json}
 
 
@@ -91,6 +105,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         suffix = FsPath(args.sppf).suffix
         if suffix not in _FOREST_WRITERS:
             raise CliError(f"unknown forest format {suffix!r} (use .dot or .json)")
+    _check_output(args.triples)
+    _check_output(args.sppf)
     grammar, graph, starts, finals = _load_inputs(args)
     nonterminal = args.nonterminal or grammar.start
     if nonterminal not in grammar.nonterminals:
@@ -98,13 +114,13 @@ def cmd_query(args: argparse.Namespace) -> int:
     result = run_query(graph, grammar, starts, finals)
     triples = format_triples(result, nonterminal)
     if args.triples:
-        FsPath(args.triples).write_text(triples, encoding="utf-8")
+        _write_output(args.triples, triples)
     else:
         sys.stdout.write(triples)
     if args.sppf:
         text = _FOREST_WRITERS[suffix](result.sppf, result.roots, verbose=args.sppf_verbose,
                                        simplify=args.sppf_simplify)
-        FsPath(args.sppf).write_text(text, encoding="utf-8")
+        _write_output(args.sppf, text)
     print(f"roots: {len(result.roots)}", file=sys.stderr)
     return EXIT_MATCH if result.success else EXIT_EMPTY
 
@@ -168,6 +184,7 @@ def _parse_sizes(spec: str) -> list[int]:
 def cmd_bench(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     sizes = _parse_sizes(args.sizes)
+    _check_output(args.out)
     records = bench_mod.run_sweep(
         grammar,
         grammar_id=args.grammar,
@@ -194,8 +211,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"time fit: {bench_mod.format_fit(coeffs, bench_mod.TIME_FIT_POWERS)} "
               f"(R^2={r2:.6f})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            bench_mod.write_csv(records, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                bench_mod.write_csv(records, fh)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out!r}: {exc}") from exc
     return EXIT_MATCH
 
 

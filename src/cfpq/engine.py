@@ -83,6 +83,8 @@ class QueryEngine:
         *,
         table: ParseTable | None = None,
     ):
+        if graph.vertex_count > 2**32:  # the forest packs a vertex into 32 bits
+            raise ValueError(f"graph has {graph.vertex_count} vertices; at most 2**32 are supported")
         self.graph = graph
         self.grammar = grammar
         self.table = table if table is not None else grammar.parse_table

@@ -178,19 +178,21 @@ def _is_comment(line: str) -> bool:
 def load_tsv(text: str) -> Graph:
     """Load a ``source<TAB>label<TAB>target`` edge list.
 
-    Lines starting with ``#`` and blank lines are ignored.  If every vertex
-    is a canonical number (ASCII digits, ``0`` or no leading zero) the
-    numbers become ids directly; otherwise all vertices are interned by
-    first appearance, so ``01`` and ``1`` are two named vertices.  Numeric
+    Lines end at line feeds only, so a field may hold a form feed or U+2028,
+    and fields are stripped, so CRLF lines load too.  Lines starting with
+    ``#`` and blank lines are ignored.  If every vertex is a canonical
+    number (ASCII digits, ``0`` or no leading zero) the numbers become ids
+    directly; otherwise all vertices are interned by first appearance, so
+    ``01`` and ``1`` are two named vertices.  Numeric
     ids may leave gaps, but none may exceed ``2**20 + 16 * (number of
     distinct ids)``: every vertex up to the largest id is part of the graph,
     and a default query visits them all.
     """
     rows: list[tuple[int, str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip() or _is_comment(raw):
             continue
-        fields = raw.rstrip("\n").split("\t")
+        fields = raw.split("\t")
         if len(fields) != 3:
             raise GraphFormatError(
                 f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
@@ -277,12 +279,14 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
     are decoded, then a backslash, tab, line feed and carriage return in the
     value are written as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``, so
     distinct values keep distinct names and each name fits on one output
-    line.
+    line.  Lines end at line feeds only, so a literal may hold a form feed
+    or U+2028; trailing whitespace, such as a CRLF line's carriage return,
+    is allowed.
     """
     graph = Graph()
     graph._names = []
     graph._ids = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip() or _is_comment(raw):
             continue
         m = _NT_LINE.match(raw)

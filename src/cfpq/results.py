@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .grammar import Grammar
 from .graph import Graph, Path
-from .sppf import DUMMY, Sppf, SppfNode, _reachable
+from .sppf import _LOW, Sppf, SppfNode, _reachable
 
 if TYPE_CHECKING:
     from .engine import EngineStats
@@ -121,10 +121,12 @@ class _PathTables:
                 continue
             if node in pairs:
                 continue
-            pairs[node] = tuple(sppf.alternatives(node))
+            values = pairs[node] = tuple(sppf.alternatives(node))
             stack.append(~node)
-            for pair in pairs[node]:
-                stack.extend(child for child in pair if child != DUMMY)
+            for value in values:
+                if value >= 0:  # a negative value has no left child
+                    stack.append(value >> 32)
+                stack.append(value & _LOW)
         empty = max(pairs) + 1
         position = [0] * empty
         for pos, i in enumerate(order):
@@ -145,7 +147,7 @@ class _PathTables:
                     self._leaf(i, 0, ())
                 continue
             alts = self.alts[i] = tuple(
-                (empty if left == DUMMY else left, right) for left, right in alternatives
+                (empty if value < 0 else value >> 32, value & _LOW) for value in alternatives
             )
             for child in {c for pair in alts for c in pair}:
                 self.parents[child].append(i)

@@ -10,9 +10,13 @@ The store has three parts:
   ``(2, label, left, right)`` for a nonterminal and ``(3, production, dot,
   left, right)`` for an intermediate node, so its last two fields are the
   extension and the keys sort in export order;
-* ``_packed`` holds, for a nonterminal or intermediate parent, its packed
-  nodes as ``{(production, pivot): (left id or DUMMY, right id)}``, and None
-  for a leaf.  A parent with two or more packed nodes marks an ambiguity.
+* ``_packed`` holds, for a nonterminal or intermediate parent, one int
+  entry per packed node, ``{production << 32 | pivot: left << 32 | right}``,
+  and None for a leaf.  Keys sort as ``(production, pivot)`` pairs do; a
+  DUMMY left child makes the value negative, which ``>> 32`` and ``&
+  0xFFFFFFFF`` still decode.  Vertices and ids must stay below 2**32: the
+  engine rejects larger graphs, and each id holds a key tuple in memory.
+  Two or more packed nodes mark an ambiguity.
 
 ``DUMMY = -1`` is the absent left child, and in the engine the empty forest
 before anything matched.  The key layout stays inside this module: callers
@@ -24,23 +28,24 @@ epsilon, nonterminal, intermediate, then by the rest of the key); packed
 nodes follow in parent order, and in (production, pivot) order under one
 parent.  Edges are sorted by (source id, target id), so a packed node's
 children are not listed left first: the left child is the one whose
-``right`` is the other's ``left``.  :func:`export_json` writes the
-packed records, which hold only integers, as text, and passes the
-non-packed records and the edges to ``json.dumps``; its bytes equal one
-``json.dumps`` of the whole ``{"nodes": [...], "edges": [...]}`` object.
+``right`` is the other's ``left``.  Edges and packed records hold only
+integers and are written as text through a per-format template; the bytes
+of :func:`export_json` equal one ``json.dumps`` of the whole ``{"nodes":
+[...], "edges": [...]}`` object.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import countOf, itemgetter
+from itertools import chain
+from operator import countOf
 from typing import Iterable, Iterator
 
 from .grammar import Grammar, GrammarSlot
 
 DUMMY = -1
+_LOW = 0xFFFFFFFF  # the low half of a packed key or value: the pivot or the right child
 
 _KINDS = ("terminal", "epsilon", "nonterminal", "intermediate")
 
@@ -98,10 +103,11 @@ class SppfNode:
     def children(self) -> tuple[SppfNode, ...]:
         """A parent's packed nodes in (production, pivot) order; a packed
         node's left child (when it has one) and right child; none for a leaf."""
-        packed = self.sppf._packed[self.id]
+        sppf, packed = self.sppf, self.sppf._packed[self.id]
         if self.alternative:
-            return tuple(SppfNode(self.sppf, c) for c in packed[self.alternative] if c != DUMMY)
-        return tuple(SppfNode(self.sppf, self.id, a) for a in sorted(packed or ()))
+            value = packed[self.alternative[0] << 32 | self.alternative[1]]
+            return tuple(SppfNode(sppf, c) for c in (value >> 32, value & _LOW) if c != DUMMY)
+        return tuple(SppfNode(sppf, self.id, (k >> 32, k & _LOW)) for k in sorted(packed or ()))
 
     def __repr__(self) -> str:
         if self.alternative:
@@ -139,7 +145,7 @@ class Sppf:
         self.grammar = grammar
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
-        self._packed: list[dict[tuple[int, int], tuple[int, int]] | None] = []
+        self._packed: list[dict[int, int] | None] = []
 
     # -- node construction ---------------------------------------------------
 
@@ -175,10 +181,7 @@ class Sppf:
         else:
             key = (3, production.index, slot.dot, left_extent, right_extent)
         parent = self._intern(key)
-        packed = self._packed[parent]
-        pkey = (production.index, pivot)
-        if pkey not in packed:
-            packed[pkey] = (left, right)
+        self._packed[parent].setdefault(production.index << 32 | pivot, left << 32 | right)
         return parent
 
     # -- reads -----------------------------------------------------------------
@@ -195,9 +198,9 @@ class Sppf:
         key = self._keys[nid]
         return (key[2], key[1], key[3]) if key[0] == 0 else None
 
-    def alternatives(self, nid: int) -> Iterable[tuple[int, int]]:
-        """The ``(left id or DUMMY, right id)`` children of each packed node
-        under a parent; none for a leaf."""
+    def alternatives(self, nid: int) -> Iterable[int]:
+        """The children of each packed node under a parent, as ``left << 32 |
+        right`` (left id or DUMMY, right id); none for a leaf."""
         packed = self._packed[nid]
         return packed.values() if packed else ()
 
@@ -222,9 +225,9 @@ class Sppf:
         parents = [p for p in self._packed if p]
         packed = sum(map(len, parents))
         counts = (*(ranks.count(rank) for rank in range(len(_KINDS))), packed)
-        # parent -> packed, packed -> right child, and packed -> left child unless DUMMY
-        lefts = map(itemgetter(0), chain.from_iterable(p.values() for p in parents))
-        edges = 3 * packed - countOf(lefts, DUMMY)
+        # parent -> packed, packed -> right, packed -> left unless DUMMY (value < 0)
+        negative = map((0).__gt__, chain.from_iterable(p.values() for p in parents))
+        edges = 3 * packed - countOf(negative, True)
         return SppfStats(*counts, nodes=sum(counts), edges=edges)
 
 
@@ -235,31 +238,36 @@ def _reachable(sppf: Sppf, roots: Iterable[int]) -> set[int]:
     """The ids of the non-packed nodes reachable from ``roots``, roots included."""
     seen = set(roots)
     stack = list(seen)
+    seen.add(DUMMY)  # so that an absent left child is never followed
     while stack:
-        for pair in sppf.alternatives(stack.pop()):
-            for child in pair:
-                if child not in seen and child != DUMMY:
-                    seen.add(child)
-                    stack.append(child)
+        for value in sppf.alternatives(stack.pop()):
+            right, left = value & _LOW, value >> 32
+            if right not in seen:
+                seen.add(right)
+                stack.append(right)
+            if left not in seen:
+                seen.add(left)
+                stack.append(left)
+    seen.remove(DUMMY)
     return seen
 
 
-def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
-    """Number the exported nodes (see the module docstring) and list their
-    edges, already sorted: parents come in id order and every packed id is
-    larger than every non-packed id.  Repeated edges are kept.
-
-    Returns the non-packed store ids in export order, the (production,
-    pivot) pair of each exported packed node after them, and the edges.
-    """
+def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: str, sep: str):
+    """Number the exported nodes (see the module docstring): the non-packed
+    store ids in export order and the key of each exported packed node after
+    them.  Their edges come out already sorted, as text: ``edge`` (a ``%d``
+    each for source and target) per edge, joined by ``sep``.  Parents come in
+    id order, every packed id is larger than every non-packed id, and
+    repeated edges are kept."""
     keys, packed_of = sppf._keys, sppf._packed
     pool = range(len(keys)) if roots is None else _reachable(sppf, (r.id for r in roots))
     pool = sorted(pool, key=keys.__getitem__)
-    number = dict(zip(pool, range(len(pool))))
-    packed: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] = []
-    packed_edges: list[tuple[int, int]] = []
-    add_edge, add_packed_edge = edges.append, packed_edges.append
+    number = [DUMMY] * (len(keys) + 1)  # by store id; the last slot is number[DUMMY]
+    for n, nid in enumerate(pool):
+        number[nid] = n
+    two = sep.join((edge, edge))
+    packed: list[int] = []
+    chunks, packed_chunks = [], []  # edges out of non-packed nodes, out of packed nodes
     next_packed = len(pool)
     for parent, nid in enumerate(pool):
         alternatives = packed_of[nid]
@@ -267,25 +275,23 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool):
             continue
         order = sorted(alternatives)
         if simplify and len(order) == 1:  # the parent takes the packed node's children
-            source, add = parent, add_edge
+            source, out = parent, chunks
         else:
-            source, add = next_packed, add_packed_edge
+            source, out = next_packed, packed_chunks
             next_packed += len(order)
             packed += order
-            edges += zip(repeat(parent, len(order)), range(source, next_packed))
-        for left, right in map(alternatives.__getitem__, order):
-            right = number[right]
-            if left != DUMMY:
-                left = number[left]
-                if left < right:
-                    add((source, left))
-                else:
-                    add((source, right))
-                    right = left
-            add((source, right))
+            chunks.append(sep.join([edge % (parent, p) for p in range(source, next_packed)]))
+        for value in map(alternatives.__getitem__, order):
+            left, right = number[value >> 32], number[value & _LOW]
+            if left < 0:
+                out.append(edge % (source, right))
+            elif left < right:
+                out.append(two % (source, left, source, right))
+            else:
+                out.append(two % (source, right, source, left))
             source += 1  # the next packed id; a lone alternative has no next
-    edges += packed_edges
-    return pool, packed, edges
+    chunks += packed_chunks
+    return pool, packed, sep.join(chunks)
 
 
 def _node_record(sppf: Sppf, nid: int, number: int) -> dict:
@@ -309,26 +315,21 @@ def export_json(
     simplify: bool = False,
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as compact,
-    single-line JSON.
-
-    Non-packed records, whose labels may need escaping, and the edges go
-    through ``json.dumps``; packed records hold only integers and are written
-    as text.  The bytes equal ``json.dumps({"nodes": [...], "edges": [...]})``
-    over one dict per node record.
-    """
-    pool, packed, edges = _layout(sppf, roots, simplify)
+    single-line JSON.  Only the non-packed records, whose labels may need
+    escaping, go through ``json.dumps``."""
+    pool, packed, edges = _layout(sppf, roots, simplify, "[%d, %d]", ", ")
     records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
     nodes = [json.dumps(records, check_circular=False)[1:-1]] if records else []
     if packed:
         first = len(pool)
         if verbose:
             record = '{"id": %d, "kind": "packed", "production": %d, "pivot": %d}'
-            nodes.append(", ".join([record % (n, *alt) for n, alt in enumerate(packed, first)]))
+            records = [record % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, first)]
+            nodes.append(", ".join(records))
         else:
             ids = ', "kind": "packed"}, {"id": '.join(map(str, range(first, first + len(packed))))
             nodes.append(f'{{"id": {ids}, "kind": "packed"}}')
-    edges_text = json.dumps(edges, check_circular=False)
-    return '{"nodes": [%s], "edges": %s}' % (", ".join(nodes), edges_text)
+    return '{"nodes": [%s], "edges": [%s]}' % (", ".join(nodes), edges)
 
 
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
@@ -343,7 +344,7 @@ def export_dot(
 ) -> str:
     """Render the forest in DOT: boxes for terminal/intermediate nodes, ovals
     for nonterminals (filled when ambiguous), points for packed nodes."""
-    pool, packed, edges = _layout(sppf, roots, simplify)
+    pool, packed, edges = _layout(sppf, roots, simplify, "  n%d -> n%d;", "\n")
     lines = ["digraph sppf {"]
     for number, nid in enumerate(pool):
         key = sppf._keys[nid]
@@ -352,12 +353,12 @@ def export_dot(
         if key[0] >= 2 and len(sppf._packed[nid]) >= 2:
             attrs += ", style=filled"
         lines.append(f"  n{number} [{attrs}];")
-    for number, (production, pivot) in enumerate(packed, len(pool)):
-        attrs = "shape=point"
-        if verbose:
-            attrs += f', xlabel="({production}, {pivot})"'
-        lines.append(f"  n{number} [{attrs}];")
-    for parent, child in edges:
-        lines.append(f"  n{parent} -> n{child};")
+    if verbose:
+        point = '  n%d [shape=point, xlabel="(%d, %d)"];'
+        lines += [point % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, len(pool))]
+    else:
+        lines += ["  n%d [shape=point];" % n for n in range(len(pool), len(pool) + len(packed))]
+    if edges:
+        lines.append(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

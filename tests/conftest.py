@@ -8,7 +8,7 @@ import pytest
 
 from cfpq import Graph, ParseTable, QueryEngine, load_tsv, parse_grammar, size_audit
 from cfpq.oracle import accepts
-from cfpq.sppf import DUMMY, SppfStats, _node_record, _reachable
+from cfpq.sppf import DUMMY, SppfStats
 
 G1_TEXT = "S -> a S b\nS -> Middle\nMiddle -> a b"
 G0_TEXT = "S -> eps\nS -> a S b\nS -> S S"
@@ -124,49 +124,100 @@ def export_stats(text: str) -> SppfStats:
     return SppfStats(*counts, nodes=len(kinds), edges=len(payload["edges"]))
 
 
+_KINDS = ("terminal", "epsilon", "nonterminal", "intermediate")
+
+
+def _export_order(node):
+    """The export's key for a non-packed view: kind, label, extension."""
+    if node.kind == "epsilon":
+        label = ()
+    elif node.kind == "intermediate":
+        label = node.label.key
+    else:
+        label = (node.label,)
+    return (_KINDS.index(node.kind), *label, node.left, node.right)
+
+
 def reference_layout(sppf, roots, simplify):
-    """``sppf._layout`` as one loop over each parent's sorted alternatives."""
-    keys, packed_of = sppf._keys, sppf._packed
-    pool = range(len(keys)) if roots is None else _reachable(sppf, (r.id for r in roots))
-    pool = sorted(pool, key=keys.__getitem__)
-    number = dict(zip(pool, range(len(pool))))
+    """The export numbering and sorted edges, read through ``SppfNode``
+    views: the non-packed views in export order, the exported packed views
+    after them, and the (source, target) edges."""
+    if roots is None:
+        pool = {node for node in sppf.nodes() if node.kind != "packed"}
+    else:
+        pool, stack = set(roots), list(roots)
+        while stack:
+            for packed in stack.pop().children:
+                for child in packed.children:
+                    if child not in pool:
+                        pool.add(child)
+                        stack.append(child)
+    pool = sorted(pool, key=_export_order)
+    number = {node: n for n, node in enumerate(pool)}
     packed = []
     edges = []
     packed_edges = []
-    for parent_number, nid in enumerate(pool):
-        alternatives = packed_of[nid]
-        if not alternatives:
-            continue
+    for parent_number, node in enumerate(pool):
+        alternatives = sorted(node.children, key=lambda view: view.alternative)
         lone = simplify and len(alternatives) == 1
-        for alternative in sorted(alternatives):
-            left, right = alternatives[alternative]
+        for alternative in alternatives:
             if lone:  # the parent takes the packed node's children
                 source, out = parent_number, edges
             else:
                 source, out = len(pool) + len(packed), packed_edges
                 packed.append(alternative)
                 edges.append((parent_number, source))
-            right = number[right]
-            if left != DUMMY:
-                left = number[left]
-                out.append((source, min(left, right)))
-                right = max(left, right)
-            out.append((source, right))
+            children = sorted(number[child] for child in alternative.children)
+            out += [(source, child) for child in children]
     edges += packed_edges
     return pool, packed, edges
 
 
-def reference_export_json(sppf, roots=None, *, verbose=False, simplify=False) -> str:
-    """``export_json`` as one ``json.dumps`` over a dict per node record."""
-    pool, packed, edges = reference_layout(sppf, roots, simplify)
-    records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
-    for number, (production, pivot) in enumerate(packed, len(pool)):
-        record: dict = {"id": number, "kind": "packed"}
+def reference_export_json(layout, verbose=False) -> str:
+    """``export_json`` of a :func:`reference_layout`, as one ``json.dumps``
+    over a dict per node record."""
+    pool, packed, edges = layout
+    records = []
+    for number, node in enumerate(pool):
+        record = {"id": number, "kind": node.kind, "left": node.left, "right": node.right}
+        if node.kind == "intermediate":
+            record["label"] = repr(node.label)
+        elif node.kind != "epsilon":
+            record["label"] = node.label
+        if node.ambiguous:
+            record["ambiguous"] = True
+        records.append(record)
+    for number, node in enumerate(packed, len(pool)):
+        record = {"id": number, "kind": "packed"}
         if verbose:
-            record["production"] = production
-            record["pivot"] = pivot
+            record["production"] = node.production
+            record["pivot"] = node.pivot
         records.append(record)
     return json.dumps({"nodes": records, "edges": edges}, check_circular=False)
+
+
+def reference_export_dot(layout, verbose=False) -> str:
+    """``export_dot`` of a :func:`reference_layout`, one line per node and
+    per edge."""
+    pool, packed, edges = layout
+    lines = ["digraph sppf {"]
+    for number, node in enumerate(pool):
+        if node.kind == "epsilon":
+            label = "eps"
+        elif node.kind == "intermediate":
+            label = repr(node.label)
+        else:
+            label = node.label
+        label = f"({node.left}, {label}, {node.right})".replace('"', '\\"')
+        shape = "oval" if node.kind == "nonterminal" else "box"
+        style = ", style=filled" if node.ambiguous else ""
+        lines.append(f'  n{number} [shape={shape}, label="{label}"{style}];')
+    for number, node in enumerate(packed, len(pool)):
+        xlabel = f', xlabel="({node.production}, {node.pivot})"' if verbose else ""
+        lines.append(f"  n{number} [shape=point{xlabel}];")
+    lines += [f"  n{source} -> n{target};" for source, target in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def linear_graph(word: str) -> Graph:

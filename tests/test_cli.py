@@ -207,6 +207,29 @@ def test_bad_argument_exits_2_before_the_query(graph_file, grammar_file, argv, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--triples", "--sppf"])
+def test_output_in_a_missing_directory_exits_2_before_the_query(
+    tmp_path, graph_file, grammar_file, flag, monkeypatch, capsys
+):
+    def no_query(*args, **kwargs):
+        raise AssertionError("the query ran")
+
+    monkeypatch.setattr("cfpq.cli.run_query", no_query)
+    out = str(tmp_path / "nodir" / "out.json")
+    assert main(["query", "--graph", graph_file, "--grammar", grammar_file, flag, out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out!r}: no directory" in err
+
+
+@pytest.mark.parametrize("flag", ["--triples", "--sppf"])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, graph_file, grammar_file, flag,
+                                                 capsys):
+    out = tmp_path / "out.json"
+    out.mkdir()
+    assert main(["query", "--graph", graph_file, "--grammar", grammar_file, flag, str(out)]) == 2
+    assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+
+
 class TestPaths:
     def test_shortest_path_first(self, graph_file, grammar_file, capsys):
         code = main(
@@ -272,6 +295,11 @@ class TestBench:
         assert lines[0] == "n,grammar,time_ms,sppf_nodes,gss_nodes,descriptors"
         nodes = [int(line.split(",")[3]) for line in lines[1:]]
         assert nodes == sorted(nodes)
+
+    def test_csv_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "bench.csv")
+        assert main(["bench", "--grammar", "g2", "--sizes", "2..3", "--out", out]) == 2
+        assert f"cannot write {out!r}: no directory" in capsys.readouterr().err
 
     def test_empty_size_range_exits_2(self, capsys):
         assert main(["bench", "--grammar", "g2", "--sizes", "5..2"]) == 2

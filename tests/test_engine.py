@@ -162,6 +162,21 @@ class TestRunQuery:
         with pytest.raises(ValueError, match="outside the graph"):
             run_query(graph_m, g1, starts, finals)
 
+    def test_vertices_must_fit_in_32_bits(self, g1):
+        graph = Graph()
+        graph.add_edge(0, "a", 2**32)  # 2**32 + 1 vertices, none of them stored
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            QueryEngine(graph, g1, start_vertices={0})
+        top = 2**32 - 1  # the largest vertex that fits: the pivot of the root
+        graph = Graph()
+        graph.add_edge(0, "a", top)
+        graph.add_edge(top, "b", 1)
+        (root,) = run_query(graph, parse_grammar("S -> a b"), {0}).roots
+        (packed,) = root.children
+        assert (root.left, root.right, packed.pivot) == (0, 1, top)
+        children = [(c.left, c.label, c.right) for c in packed.children]
+        assert children == [(0, "a", top), (top, "b", 1)]
+
     def test_default_sets_cover_isolated_top_vertex(self, g0):
         graph = Graph(vertex_count=5)
         graph.add_edge(0, "a", 1)

@@ -16,6 +16,9 @@ from cfpq.graph import (
 )
 from conftest import M_TSV, P0, P1
 
+# Characters that end a line for str.splitlines but not for a split at line feeds.
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 M_EDGES = {(0, "a", 1), (1, "a", 2), (2, "a", 0), (0, "b", 3), (3, "b", 0)}
 
 
@@ -80,6 +83,16 @@ class TestLoadTsv:
     def test_malformed_line_number(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             load_tsv("0\ta\t1\n0 a 1\n")
+
+    @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+    def test_only_line_feeds_end_a_line(self, char):
+        g = load_tsv(f"x\ta\ty{char}z\ny{char}z\tb{char}c\tx\n")
+        assert g.edges() == [(0, "a", 1), (1, f"b{char}c", 0)]
+        assert [g.vertex_name(v) for v in g.vertices()] == ["x", f"y{char}z"]
+
+    def test_crlf_lines(self):
+        g = load_tsv("# edges\r\n0\ta\t1\r\n\r\n1\tb\t2\r\n")
+        assert g.edges() == [(0, "a", 1), (1, "b", 2)]
 
     def test_symbolic_vertices_are_interned(self):
         g = load_tsv("alpha\tknows\tbeta\nbeta\tknows\talpha")
@@ -182,6 +195,17 @@ class TestLoadNtriples:
         names = [g.vertex_name(v) for v in g.vertices()]
         assert names == ["s", "a\\tb", "a\\\\tb", "c\\nd\\re"]
         assert [g.resolve_vertex(name) for name in names] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+    def test_only_line_feeds_end_a_line(self, char):
+        g = load_ntriples(f'<s> <p> "a{char}b" .\n<s> <q> <o> .')
+        assert [g.vertex_name(v) for v in g.vertices()] == ["s", f"a{char}b", "o"]
+        assert g.edge_count == 4
+
+    def test_crlf_lines(self):
+        g = load_ntriples('# triples\r\n<s> <p> "a b" .\r\n\r\n<s> <q> <o> .\r\n')
+        assert [g.vertex_name(v) for v in g.vertices()] == ["s", "a b", "o"]
+        assert g.edge_count == 4
 
     def test_inverse_suffix_flag(self):
         g = load_ntriples("<a> <p> <b> .", inverse_suffix="_inv")

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
+from cfpq.engine import run_query
 from cfpq.grammar import parse_grammar
 from cfpq.graph import complete_graph, load_tsv
-from cfpq.sppf import DUMMY, Sppf, SppfStats, _layout, export_dot, export_json
+from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json
 from conftest import (
     G0_TEXT,
     G1_TEXT,
@@ -17,6 +20,7 @@ from conftest import (
     export_stats,
     linear_graph,
     random_graph,
+    reference_export_dot,
     reference_export_json,
     reference_layout,
     run_checked,
@@ -103,6 +107,24 @@ def test_views_of_one_node_are_equal(g0, graph_m):
         assert 1 <= len(p.children) <= 2
         assert p.children[-1].right == parent.right
         assert p.children[0].left == (parent.left if len(p.children) == 2 else p.pivot)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's GC objects")
+def test_packed_nodes_are_not_gc_tracked(g0):
+    """A packed node is one int entry in its parent's dict, so a query makes
+    fewer objects for the cyclic collector to track than packed nodes; what
+    it does track (stack, descriptor and parent-key tuples) grows like
+    |V|**2, not like |V|**3."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        result = run_query(complete_graph(12, "ab"), g0)
+        growth = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert growth < result.sppf.stats().packed
 
 
 def test_empty_stats(g1):
@@ -322,14 +344,12 @@ def test_export_structure_on_random_graphs():
 def _assert_matches_reference(result):
     for roots in (None, result.roots, ()):
         for simplify in (False, True):
-            layout = _layout(result.sppf, roots, simplify)
-            assert layout == reference_layout(result.sppf, roots, simplify)
+            layout = reference_layout(result.sppf, roots, simplify)
             for verbose in (False, True):
-                text = export_json(result.sppf, roots, verbose=verbose, simplify=simplify)
-                expected = reference_export_json(
-                    result.sppf, roots, verbose=verbose, simplify=simplify
-                )
-                assert text == expected, (roots, verbose, simplify)
+                for export, reference in ((export_json, reference_export_json),
+                                          (export_dot, reference_export_dot)):
+                    text = export(result.sppf, roots, verbose=verbose, simplify=simplify)
+                    assert text == reference(layout, verbose), (export, roots, verbose, simplify)
 
 
 def test_export_equals_reference_encoder_on_random_graphs():
