@@ -56,10 +56,6 @@ class GssNode:
         self.edges: dict[tuple[GrammarSlot, int, GssNode], None] = {}
         self.pops: dict[int, int] = {}
 
-    @property
-    def key(self):
-        return (self.nonterminal, self.index)
-
     def __repr__(self) -> str:
         return f"gss({self.nonterminal}, {self.index})"
 

@@ -178,26 +178,27 @@ def _is_comment(line: str) -> bool:
 def load_tsv(text: str) -> Graph:
     """Load a ``source<TAB>label<TAB>target`` edge list.
 
-    Lines end at line feeds only, so a field may hold a form feed or U+2028,
-    and fields are stripped, so CRLF lines load too.  Lines starting with
-    ``#`` and blank lines are ignored.  If every vertex is a canonical
-    number (ASCII digits, ``0`` or no leading zero) the numbers become ids
-    directly; otherwise all vertices are interned by first appearance, so
-    ``01`` and ``1`` are two named vertices.  Numeric
-    ids may leave gaps, but none may exceed ``2**20 + 16 * (number of
-    distinct ids)``: every vertex up to the largest id is part of the graph,
-    and a default query visits them all.
+    Lines end at line feeds only, and fields are stripped of ASCII spaces,
+    tabs and carriage returns only: CRLF lines load, a field may hold a form
+    feed or U+2028, and ``y\\x85`` and ``y`` are two names.  Lines starting
+    with ``#`` and lines of only those three characters are ignored.  If
+    every vertex is a canonical number (ASCII digits, ``0`` or no leading
+    zero) the numbers become ids directly; otherwise all vertices are
+    interned by first appearance, so ``01`` and ``1`` are two named
+    vertices.  Numeric ids may leave gaps, but none may exceed ``2**20 + 16 *
+    (number of distinct ids)``: every vertex up to the largest id is part of
+    the graph, and a default query visits them all.
     """
     rows: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip() or _is_comment(raw):
+        if not raw.strip(" \t\r") or _is_comment(raw):
             continue
         fields = raw.split("\t")
         if len(fields) != 3:
             raise GraphFormatError(
                 f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        source, label, target = (f.strip() for f in fields)
+        source, label, target = (f.strip(" \t\r") for f in fields)
         if not source or not label or not target:
             raise GraphFormatError(f"line {lineno}: empty field")
         rows.append((lineno, source, label, target))

@@ -7,13 +7,15 @@ first, and paths of one length in lexicographic order of their
 an empty-word match (v, v) is an accepted root and a result triple, but it
 yields no path.
 
-Cost: lengths are built one at a time, and no further than the length of the
-last path emitted.  For each length, one pass over the forest below the root
-marks the nodes that derive a sequence of that length; then only those
+Cost: hop distances in the graph give each forest node below the root a
+window of lengths that a path of at most ``max_length`` edges could give it.
+Lengths are built one at a time, and no further than the length of the last
+path emitted.  For each length, one pass over the nodes whose window holds
+it marks those that derive a sequence of that length; then only those
 (node, length) keys are evaluated, children before parents, and each keeps
-at most ``max_paths`` sequences.  The work therefore grows with the size of
-the forest below the root times the lengths reached, not with the number of
-matching paths.
+at most ``max_paths`` sequences.  The work therefore grows with the windowed
+nodes and lengths, plus the breadth-first searches (cut at ``max_length``
+hops) from the ends of the nodes read, not with the number of matching paths.
 """
 
 from __future__ import annotations
@@ -86,6 +88,23 @@ def format_triples(result: QueryResult, nonterminal: str | None = None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+class _Hops(dict):
+    """``hops[x][y]``: the hop distance from x to y in the graph, up to
+    ``depth`` hops, found breadth-first from x on first use."""
+
+    def __init__(self, graph: Graph, depth: int) -> None:
+        self.out, self.depth = graph.adjacency, depth
+
+    def __missing__(self, x: int) -> dict[int, int]:
+        dist = self[x] = {x: 0}
+        frontier = {x}
+        for hop in range(1, self.depth + 1):
+            frontier = {z for y in frontier for ts in self.out.get(y, {}).values() for z in ts}
+            frontier.difference_update(dist)
+            dist.update(dict.fromkeys(frontier, hop))
+        return dist
+
+
 class _PathTables:
     """The ``k`` smallest edge sequences per (forest node, length), built one
     length at a time for the part of the forest below one root.
@@ -94,23 +113,39 @@ class _PathTables:
     come before parents except along the back edges of forest cycles.
     Packed nodes are folded into their parent as (left, right) alternatives;
     a single-child alternative gets a virtual left child, one past the
-    largest id below the root, that derives only the empty sequence.
+    largest id referenced, that derives only the empty sequence.
     ``masks[i]`` has bit L set when node i derives some
     sequence of exactly L edges, and ``rev[i]`` holds the same bits mirrored
     (bit ``max_length - L``), so the feasible splits of an alternative at
     length L are the set bits of ``masks[left] & (rev[right] >> (max_length -
     L))``.  A (node, length) key is the int ``node * width + length``.
 
+    Each node has a length window from graph hop distances ``d``: with the
+    root spanning (s, t) and the node (u, v), ``lo = d(u, v)`` and ``hi =
+    max_length - d(s, u) - d(v, t)``.  A node with an empty window is never
+    expanded, and the mask pass for length L visits only the nodes whose
+    window holds L.  This loses no path: a key (node, L) on a root
+    derivation of at most ``max_length`` edges lies in its window, and so do
+    the parts of each of its splits, so its bit is exact.  Keys outside a
+    window may miss bits but never gain false ones, and plans follow set
+    bits only, so every key a plan reaches lies on such a derivation.
+
     Keeping only the ``k`` smallest sequences per key is exact: the ``k``
     smallest sequences of a union lie within the members' ``k`` smallest,
     and those of one split lie within top-k(left) x top-k(right).
     """
 
-    def __init__(self, sppf: Sppf, root: int, max_length: int, k: int) -> None:
+    def __init__(self, sppf: Sppf, graph: Graph, root: int, max_length: int, k: int) -> None:
         self.root = root
         self.max_length = max_length
         self.width = max_length + 1
         self.k = k
+        far = self.width  # beyond every window
+        hops = _Hops(graph, max_length)
+        s, t = sppf.extent(root)
+        from_s = hops[s]
+        lo: dict[int, int] = {}
+        hi: dict[int, int] = {}
         pairs: dict[int, tuple] = {}
         order: list[int] = []
         stack = [root]
@@ -119,7 +154,12 @@ class _PathTables:
             if node < 0:  # ~node: every child of the node is done
                 order.append(~node)
                 continue
-            if node in pairs:
+            if node in hi:
+                continue
+            u, v = sppf.extent(node)
+            lo[node] = hops[u].get(v, far)
+            hi[node] = max_length - from_s.get(u, far) - hops[v].get(t, far)
+            if hi[node] < lo[node]:  # no short enough path passes through the node
                 continue
             values = pairs[node] = tuple(sppf.alternatives(node))
             stack.append(~node)
@@ -127,7 +167,8 @@ class _PathTables:
                 if value >= 0:  # a negative value has no left child
                     stack.append(value >> 32)
                 stack.append(value & _LOW)
-        empty = max(pairs) + 1
+        self.lo, self.hi = lo, hi
+        empty = max(hi) + 1
         position = [0] * empty
         for pos, i in enumerate(order):
             position[i] = pos
@@ -165,10 +206,10 @@ class _PathTables:
         self.rev[i] |= 1 << (self.max_length - length)
 
     def _grow_masks(self, length: int) -> None:
-        """Set bit ``length`` in every mask; lower bits are already final."""
+        """Set bit ``length`` in every mask whose window holds it; lower bits are final."""
         bit = 1 << length
         shift = self.max_length - length
-        masks, rev, alts = self.masks, self.rev, self.alts
+        masks, rev, alts, lo, hi = self.masks, self.rev, self.alts, self.lo, self.hi
 
         def derives(i: int) -> bool:
             for left, right in alts[i]:
@@ -180,12 +221,12 @@ class _PathTables:
         # then only through a sibling that derives the empty sequence.
         pending: list[int] = []
         for i in self.order:
-            if derives(i):
+            if lo[i] <= length <= hi[i] and derives(i):
                 self._set_bit(i, length)
                 pending += self.back[i]
         while pending:
             i = pending.pop()
-            if not masks[i] & bit and derives(i):
+            if not masks[i] & bit and hi[i] >= length and derives(i):
                 self._set_bit(i, length)
                 pending += self.parents[i]
 
@@ -266,7 +307,7 @@ def enumerate_paths(
     root = next((n for n in result.roots if (n.left, n.right) == (source, target)), None)
     if root is None:
         return
-    tables = _PathTables(result.sppf, root.id, limits.max_length, limits.max_paths)
+    tables = _PathTables(result.sppf, result.graph, root.id, limits.max_length, limits.max_paths)
     emitted = 0
     for length in range(1, limits.max_length + 1):
         for edges in tables.sequences(length):

@@ -102,7 +102,7 @@ def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs)
     engine.processing = recorded
     result = audited(engine.run())
     return result, [
-        (slot.key, stack.key, vertex, forest_key(result.sppf, nid))
+        (slot.key, (stack.nonterminal, stack.index), vertex, forest_key(result.sppf, nid))
         for slot, stack, vertex, nid in processed
     ]
 
@@ -263,6 +263,16 @@ def brute_matching_endpoints(graph: Graph, grammar, max_length: int) -> set[tupl
             if accepts(grammar, w):
                 matched |= pairs
     return matched
+
+
+def sparse_graph(rng: random.Random) -> Graph:
+    """8 to 12 vertices, each with at most two a/b out-edges (self-loops allowed)."""
+    n = rng.randint(8, 12)
+    graph = Graph(vertex_count=n)
+    for u in range(n):
+        for _ in range(rng.randint(0, 2)):
+            graph.add_edge(u, rng.choice("ab"), rng.randrange(n))
+    return graph
 
 
 def random_graph(rng: random.Random, max_vertices: int = 10, labels: str = "abc") -> Graph:

@@ -80,7 +80,7 @@ class TestPop:
         (descriptor,) = list(eng._pending)[pending:]
         slot, stack, vertex, sppf_id = descriptor
         sppf_node = eng.sppf.node(sppf_id)
-        assert (slot, stack.key, vertex) == (g1.slot(0, 2), ("S", 2), 3)
+        assert (slot, (stack.nonterminal, stack.index), vertex) == (g1.slot(0, 2), ("S", 2), 3)
         assert (sppf_node.left, sppf_node.right) == (2, 3)
 
     def test_pop_offers_one_descriptor_per_stack_edge(self):
@@ -88,7 +88,7 @@ class TestPop:
         start = eng._call("S", 0)
         node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
         assert eng.create(grammar.slot(1, 1), start, 0, DUMMY) is node
-        assert node.key == ("A", 0) and len(node.edges) == 2
+        assert (node.nonterminal, node.index) == ("A", 0) and len(node.edges) == 2
         pending = len(eng._pending)
         # a completed A spanning (0, 1) resumes both return slots
         completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))

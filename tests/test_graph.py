@@ -18,6 +18,10 @@ from conftest import M_TSV, P0, P1
 
 # Characters that end a line for str.splitlines but not for a split at line feeds.
 SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Characters that str.strip() removes but the TSV field strip keeps.
+OTHER_BLANKS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029"
+]
 
 M_EDGES = {(0, "a", 1), (1, "a", 2), (2, "a", 0), (0, "b", 3), (3, "b", 0)}
 
@@ -89,6 +93,14 @@ class TestLoadTsv:
         g = load_tsv(f"x\ta\ty{char}z\ny{char}z\tb{char}c\tx\n")
         assert g.edges() == [(0, "a", 1), (1, f"b{char}c", 0)]
         assert [g.vertex_name(v) for v in g.vertices()] == ["x", f"y{char}z"]
+
+    @pytest.mark.parametrize("char", OTHER_BLANKS)
+    def test_fields_keep_other_blanks(self, char):
+        g = load_tsv(f"x\ta{char}\ty\nx\ta\ty\nx\ta\t{char}y\n")
+        assert g.edges() == [(0, "a", 1), (0, "a", 2), (0, f"a{char}", 1)]
+        assert [g.vertex_name(v) for v in g.vertices()] == ["x", "y", f"{char}y"]
+        with pytest.raises(GraphFormatError, match="line 2: expected 3"):
+            load_tsv(f"x\ta\ty\n{char}\n")
 
     def test_crlf_lines(self):
         g = load_tsv("# edges\r\n0\ta\t1\r\n\r\n1\tb\t2\r\n")
@@ -200,6 +212,11 @@ class TestLoadNtriples:
     def test_only_line_feeds_end_a_line(self, char):
         g = load_ntriples(f'<s> <p> "a{char}b" .\n<s> <q> <o> .')
         assert [g.vertex_name(v) for v in g.vertices()] == ["s", f"a{char}b", "o"]
+        assert g.edge_count == 4
+
+    def test_literals_keep_other_blanks(self):
+        g = load_ntriples('<s> <p> "y\x85" .\n<s> <p> "y" .')
+        assert [g.vertex_name(v) for v in g.vertices()] == ["s", "y\x85", "y"]
         assert g.edge_count == 4
 
     def test_crlf_lines(self):

@@ -9,6 +9,7 @@ from cfpq.graph import word
 from cfpq.oracle import accepts, hellings_slice
 from cfpq.results import (
     PathQueryLimits,
+    _PathTables,
     enumerate_paths,
     extract_subgraph,
     format_triples,
@@ -16,6 +17,7 @@ from cfpq.results import (
 )
 from cfpq.grammar import parse_grammar
 from cfpq.graph import Graph, load_ntriples
+from cfpq.sppf import _reachable
 from conftest import (
     P0,
     P1,
@@ -24,7 +26,14 @@ from conftest import (
     linear_graph,
     random_graph,
     run_checked,
+    sparse_graph,
 )
+
+
+def indexed_nodes(tables: _PathTables) -> int:
+    """The forest nodes the path tables expanded: those with a non-empty
+    length window."""
+    return sum(tables.lo[i] <= tables.hi[i] for i in tables.hi)
 
 
 class TestReachablePairs:
@@ -137,6 +146,17 @@ class TestEnumeratePaths:
         accepted = run_checked(linear_graph("aabb"), grammar, starts={0}, finals={4})
         assert [len(p) for p in enumerate_paths(accepted, 0, 4, limits)] == [4]
 
+    def test_root_longer_than_the_limit_reads_little(self, g0):
+        # The only path from 0 to 12 has 12 edges, so no window holds a
+        # length that the root can reach within 8.
+        graph = linear_graph("a" * 6 + "b" * 6)
+        result = run_checked(graph, g0, starts={0}, finals={12})
+        (root,) = result.roots
+        assert list(enumerate_paths(result, 0, 12, PathQueryLimits(5, 8))) == []
+        assert [len(p) for p in enumerate_paths(result, 0, 12, PathQueryLimits(5, 12))] == [12]
+        tables = _PathTables(result.sppf, graph, root.id, 8, 5)
+        assert indexed_nodes(tables) < len(_reachable(result.sppf, [root.id]))
+
 
 UNIT_CYCLES = "S -> A S\nS -> a\nA -> eps\nA -> A A"
 # S(u, v) -> B(u, v) -> C(u, v) -> D(u, v) -> S(u, v): a zero-length cycle
@@ -150,10 +170,10 @@ class TestEnumeratePathsAgainstWalks:
 
     MAX_LENGTH = 5
 
-    def reference(self, graph, grammar) -> dict:
+    def reference(self, graph, grammar, max_length: int = MAX_LENGTH) -> dict:
         listing: dict[tuple[int, int], list] = defaultdict(list)
         memo: dict[tuple[str, ...], bool] = {}
-        for edges in all_paths(graph, self.MAX_LENGTH):
+        for edges in all_paths(graph, max_length):
             w = tuple(e[1] for e in edges)
             if w not in memo:
                 memo[w] = accepts(grammar, w)
@@ -188,6 +208,30 @@ class TestEnumeratePathsAgainstWalks:
                             tie_cuts += 1
         # the cut falls inside one length often enough to pin top-k at ties
         assert tie_cuts >= 20
+
+    def test_length_windows_prune_and_keep_every_path(self, g0, g1, g2):
+        # On sparse graphs much of the forest below a root lies too far from
+        # its ends for a short path: the windows skip it, and the listing
+        # stays exact.
+        rng = random.Random(2)
+        grammars = (g0, g1, g2, parse_grammar(UNIT_CYCLES), parse_grammar(LONG_UNIT_CYCLE))
+        pruned = 0
+        for _ in range(12):
+            graph = sparse_graph(rng)
+            max_length = rng.choice((5, 6))
+            for grammar in grammars:
+                listing = self.reference(graph, grammar, max_length)
+                result = run_checked(graph, grammar)
+                for root in result.roots:
+                    k = rng.choice((1, 2, 3, 7, 40))
+                    limits = PathQueryLimits(k, max_length)
+                    got = [p.edges for p in enumerate_paths(result, root.left, root.right, limits)]
+                    assert got == listing.get((root.left, root.right), [])[:k], (grammar, root, k)
+                    tables = _PathTables(result.sppf, graph, root.id, max_length, k)
+                    below = len(_reachable(result.sppf, [root.id]))
+                    pruned += indexed_nodes(tables) < below
+        # 201 of the 740 root queries skip nodes
+        assert pruned >= 100
 
 
 class TestExtractSubgraph:
