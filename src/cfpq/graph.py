@@ -171,27 +171,24 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
 
 
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("#")
-
-
 def load_tsv(text: str) -> Graph:
     """Load a ``source<TAB>label<TAB>target`` edge list.
 
     Lines end at line feeds only, and fields are stripped of ASCII spaces,
     tabs and carriage returns only: CRLF lines load, a field may hold a form
-    feed or U+2028, and ``y\\x85`` and ``y`` are two names.  Lines starting
-    with ``#`` and lines of only those three characters are ignored.  If
-    every vertex is a canonical number (ASCII digits, ``0`` or no leading
-    zero) the numbers become ids directly; otherwise all vertices are
-    interned by first appearance, so ``01`` and ``1`` are two named
-    vertices.  Numeric ids may leave gaps, but none may exceed ``2**20 + 16 *
-    (number of distinct ids)``: every vertex up to the largest id is part of
-    the graph, and a default query visits them all.
+    feed or U+2028, and ``y\\x85`` and ``y`` are two names.  Lines of only
+    those three characters are ignored, and so are lines whose first other
+    character is ``#``.  If every vertex is a canonical number (ASCII
+    digits, ``0`` or no leading zero) the numbers become ids directly;
+    otherwise all vertices are interned by first appearance, so ``01`` and
+    ``1`` are two named vertices.  Numeric ids may leave gaps, but none may
+    exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to the
+    largest id is part of the graph, and a default query visits them all.
     """
     rows: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip(" \t\r") or _is_comment(raw):
+        line = raw.lstrip(" \t\r")
+        if not line or line[0] == "#":
             continue
         fields = raw.split("\t")
         if len(fields) != 3:
@@ -288,7 +285,8 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
     graph._names = []
     graph._ids = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip() or _is_comment(raw):
+        line = raw.lstrip()
+        if not line or line[0] == "#":
             continue
         m = _NT_LINE.match(raw)
         if m is None:

@@ -9,13 +9,14 @@ yields no path.
 
 Cost: hop distances in the graph give each forest node below the root a
 window of lengths that a path of at most ``max_length`` edges could give it.
-Lengths are built one at a time, and no further than the length of the last
-path emitted.  For each length, one pass over the nodes whose window holds
-it marks those that derive a sequence of that length; then only those
-(node, length) keys are evaluated, children before parents, and each keeps
-at most ``max_paths`` sequences.  The work therefore grows with the windowed
-nodes and lengths, plus the breadth-first searches (cut at ``max_length``
-hops) from the ends of the nodes read, not with the number of matching paths.
+Lengths are built one at a time, no further than the last path emitted.
+Each length takes a children-first pass over the nodes whose window holds
+it, marking those that derive a sequence of that length, and one over the
+(node, length) keys that the root reaches through marked nodes, each
+keeping at most ``max_paths`` sequences; a pass is repeated only when the
+forest below the root has a cycle.  The work grows with the windowed nodes
+and lengths, plus breadth-first searches cut at ``max_length`` hops, not
+with the number of matching paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .grammar import Grammar
 from .graph import Graph, Path
-from .sppf import _LOW, Sppf, SppfNode, _reachable
+from .sppf import DUMMY, Sppf, SppfNode, _reachable
 
 if TYPE_CHECKING:
     from .engine import EngineStats
@@ -109,16 +110,13 @@ class _PathTables:
     """The ``k`` smallest edge sequences per (forest node, length), built one
     length at a time for the part of the forest below one root.
 
-    Nodes are the forest's store ids, visited in DFS post-order, so children
-    come before parents except along the back edges of forest cycles.
-    Packed nodes are folded into their parent as (left, right) alternatives;
-    a single-child alternative gets a virtual left child, one past the
-    largest id referenced, that derives only the empty sequence.
-    ``masks[i]`` has bit L set when node i derives some
-    sequence of exactly L edges, and ``rev[i]`` holds the same bits mirrored
-    (bit ``max_length - L``), so the feasible splits of an alternative at
-    length L are the set bits of ``masks[left] & (rev[right] >> (max_length -
-    L))``.  A (node, length) key is the int ``node * width + length``.
+    Nodes are store ids, whose packed nodes are (left, right) alternatives;
+    DUMMY, the absent left child, has the last mask slot and derives only the
+    empty sequence.  Bit L of ``masks[i]`` is set when node i derives a
+    sequence of exactly L edges, and ``rev[i]`` mirrors it (bit ``max_length
+    - L``), so an alternative's feasible splits at length L are the set bits
+    of ``masks[left] & (rev[right] >> (max_length - L))``.  A (node, length)
+    key is the int ``node * width + length``.
 
     Each node has a length window from graph hop distances ``d``: with the
     root spanning (s, t) and the node (u, v), ``lo = d(u, v)`` and ``hi =
@@ -130,105 +128,80 @@ class _PathTables:
     window may miss bits but never gain false ones, and plans follow set
     bits only, so every key a plan reaches lies on such a derivation.
 
+    Both fixpoints, a length's mask bits and its keys' sequences, take one
+    pass in depth-first post-order, repeated while it changes something only
+    if the search met a cycle.  Without one a pass is exact, as each child is
+    final before its parent reads it.  A node (key) that is its own child is
+    no cycle, and the search skips it: beside a part of length 0 it adds only
+    what it has already, and in any other split it is read at a lower length,
+    which is final.  The repeats converge: bits are only set, and a key's
+    value is the ``k`` smallest of a growing set of its true sequences.
+
     Keeping only the ``k`` smallest sequences per key is exact: the ``k``
     smallest sequences of a union lie within the members' ``k`` smallest,
     and those of one split lie within top-k(left) x top-k(right).
     """
 
     def __init__(self, sppf: Sppf, graph: Graph, root: int, max_length: int, k: int) -> None:
-        self.root = root
-        self.max_length = max_length
-        self.width = max_length + 1
-        self.k = k
+        self.root, self.max_length, self.width, self.k = root, max_length, max_length + 1, k
         far = self.width  # beyond every window
         hops = _Hops(graph, max_length)
         s, t = sppf.extent(root)
-        from_s = hops[s]
-        lo: dict[int, int] = {}
-        hi: dict[int, int] = {}
-        pairs: dict[int, tuple] = {}
-        order: list[int] = []
+        window: dict[int, tuple[int, int]] = {}  # every node reached
+        alts = self.alts = {}  # every node expanded, in post-order: its alternatives
+        path: dict[int, list] = {}  # the expanded nodes whose children are not all done
+        self.cyclic = False
         stack = [root]
         while stack:
             node = stack.pop()
             if node < 0:  # ~node: every child of the node is done
-                order.append(~node)
+                alts[~node] = path.pop(~node)
                 continue
-            if node in hi:
+            if node in window:
+                self.cyclic |= node in path
                 continue
             u, v = sppf.extent(node)
-            lo[node] = hops[u].get(v, far)
-            hi[node] = max_length - from_s.get(u, far) - hops[v].get(t, far)
-            if hi[node] < lo[node]:  # no short enough path passes through the node
+            lo = hops[u].get(v, far)
+            hi = max_length - hops[s].get(u, far) - hops[v].get(t, far)
+            window[node] = lo, hi
+            if hi < lo:  # no short enough path passes through the node
                 continue
-            values = pairs[node] = tuple(sppf.alternatives(node))
+            pairs = path[node] = sppf.alternatives(node)
             stack.append(~node)
-            for value in values:
-                if value >= 0:  # a negative value has no left child
-                    stack.append(value >> 32)
-                stack.append(value & _LOW)
-        self.lo, self.hi = lo, hi
-        empty = max(hi) + 1
-        position = [0] * empty
-        for pos, i in enumerate(order):
-            position[i] = pos
-        self.masks = [0] * (empty + 1)
-        self.rev = [0] * (empty + 1)
-        self.table: dict[int, tuple] = {}
-        self._leaf(empty, 0, ())
-        self.alts: list[tuple] = [()] * (empty + 1)
-        self.parents: list[list[int]] = [[] for _ in range(empty + 1)]
-        self.back: list[list[int]] = [[] for _ in range(empty + 1)]
-        for i, alternatives in pairs.items():
-            if not alternatives:  # a leaf: a terminal edge or the empty word
+            stack += [c for pair in pairs for c in pair if c != node and c != DUMMY]
+        self.order = [(i, *window[i], pairs) for i, pairs in alts.items() if pairs]
+        masks = self.masks = [0] * (max(window) + 2)  # the last slot is masks[DUMMY]
+        rev = self.rev = [0] * len(masks)
+        self.table: dict[int, tuple] = {DUMMY * self.width: ((),)}
+        masks[DUMMY], rev[DUMMY] = 1, 1 << max_length
+        for i, pairs in alts.items():
+            if not pairs:  # a leaf: a terminal edge or the empty word
                 edge = sppf.terminal_edge(i)
-                if edge:
-                    self._leaf(i, 1, (edge,))
-                else:
-                    self._leaf(i, 0, ())
-                continue
-            alts = self.alts[i] = tuple(
-                (empty if value < 0 else value >> 32, value & _LOW) for value in alternatives
-            )
-            for child in {c for pair in alts for c in pair}:
-                self.parents[child].append(i)
-                if child != empty and position[i] < position[child]:
-                    self.back[child].append(i)
-        self.order = [i for i in order if self.alts[i]]
+                sequence = (edge,) if edge else ()
+                masks[i], rev[i] = 1 << len(sequence), 1 << (max_length - len(sequence))
+                self.table[i * self.width + len(sequence)] = (sequence,)
         self._grow_masks(0)
-
-    def _leaf(self, i: int, length: int, sequence: tuple) -> None:
-        self._set_bit(i, length)
-        self.table[i * self.width + length] = (sequence,)
-
-    def _set_bit(self, i: int, length: int) -> None:
-        self.masks[i] |= 1 << length
-        self.rev[i] |= 1 << (self.max_length - length)
 
     def _grow_masks(self, length: int) -> None:
         """Set bit ``length`` in every mask whose window holds it; lower bits are final."""
-        bit = 1 << length
         shift = self.max_length - length
-        masks, rev, alts, lo, hi = self.masks, self.rev, self.alts, self.lo, self.hi
+        bit, mirror = 1 << length, 1 << shift
+        masks, rev = self.masks, self.rev
 
-        def derives(i: int) -> bool:
-            for left, right in alts[i]:
+        def derives(pairs: list) -> bool:
+            for left, right in pairs:
                 if masks[left] & (rev[right] >> shift):
                     return True
             return False
 
-        # Children first; only a back edge can leave a parent stale, and
-        # then only through a sibling that derives the empty sequence.
-        pending: list[int] = []
-        for i in self.order:
-            if lo[i] <= length <= hi[i] and derives(i):
-                self._set_bit(i, length)
-                pending += self.back[i]
-        while pending:
-            i = pending.pop()
-            if not masks[i] & bit and hi[i] >= length and derives(i):
-                self._set_bit(i, length)
-                pending += self.parents[i]
+        changed = True
+        while changed:
+            changed = False
+            for i, lo, hi, pairs in self.order:
+                if lo <= length <= hi and not masks[i] & bit and derives(pairs):
+                    masks[i] |= bit
+                    rev[i] |= mirror
+                    changed = self.cyclic
 
     def sequences(self, length: int) -> tuple:
         """The root's ``k`` smallest sequences of exactly ``length`` edges, sorted."""
@@ -236,35 +209,29 @@ class _PathTables:
         if not self.masks[self.root] >> length & 1:
             return ()
         table = self.table
-        plans: dict[int, list] = {}
-        parents: dict[int, set] = {}
-        order: list[int] = []
+        plans: dict[int, list] = {}  # every key reached, in post-order: its plan
+        path: dict[int, list] = {}  # the keys whose child keys are not all done
+        cyclic = False
         stack = [self.root * self.width + length]
         while stack:
             key = stack.pop()
             if key < 0:  # ~key: every child key is done
-                order.append(~key)
+                plans[~key] = path.pop(~key)
                 continue
-            if key in plans:
+            if key in plans or key in path:
+                cyclic |= key in path
                 continue
-            plan = plans[key] = self._plan(*divmod(key, self.width))
+            plan = path[key] = self._plan(*divmod(key, self.width))
             stack.append(~key)
-            for pair in plan:
-                for child in pair:
-                    if child not in table:
-                        parents.setdefault(child, set()).add(key)
-                        stack.append(child)
-        pending: list[int] = []
-        for key in order:
-            value = table[key] = self._evaluate(plans[key])
-            if value:
-                pending.extend(p for p in parents.get(key, ()) if p in table)
-        while pending:
-            key = pending.pop()
-            value = self._evaluate(plans[key])
-            if value != table[key]:
-                table[key] = value
-                pending.extend(parents.get(key, ()))
+            stack += [c for pair in plan for c in pair if c != key and c not in table]
+        changed = True
+        while changed:
+            changed = False
+            for key, plan in plans.items():
+                value = self._evaluate(plan)
+                if value != table.get(key):
+                    table[key] = value
+                    changed = cyclic
         return table[self.root * self.width + length]
 
     def _plan(self, i: int, length: int) -> list[tuple[int, int]]:
@@ -287,8 +254,7 @@ class _PathTables:
         table, k = self.table, self.k
         out: set = set()
         for left, right in plan:
-            lefts = table.get(left)
-            rights = table.get(right)
+            lefts, rights = table.get(left), table.get(right)
             if lefts and rights:
                 out.update(l + r for l, r in islice(product(lefts, rights), k))
         return tuple(sorted(out)[:k])

@@ -198,11 +198,11 @@ class Sppf:
         key = self._keys[nid]
         return (key[2], key[1], key[3]) if key[0] == 0 else None
 
-    def alternatives(self, nid: int) -> Iterable[int]:
-        """The children of each packed node under a parent, as ``left << 32 |
-        right`` (left id or DUMMY, right id); none for a leaf."""
+    def alternatives(self, nid: int) -> list[tuple[int, int]]:
+        """The ``(left id or DUMMY, right id)`` children of each packed node
+        under a parent; none for a leaf."""
         packed = self._packed[nid]
-        return packed.values() if packed else ()
+        return [(value >> 32, value & _LOW) for value in packed.values()] if packed else []
 
     def nonterminal_node(self, label: str, left: int, right: int) -> SppfNode | None:
         nid = self._ids.get((2, label, left, right))
@@ -236,11 +236,12 @@ class Sppf:
 
 def _reachable(sppf: Sppf, roots: Iterable[int]) -> set[int]:
     """The ids of the non-packed nodes reachable from ``roots``, roots included."""
+    packed = sppf._packed
     seen = set(roots)
     stack = list(seen)
     seen.add(DUMMY)  # so that an absent left child is never followed
     while stack:
-        for value in sppf.alternatives(stack.pop()):
+        for value in (packed[stack.pop()] or {}).values():
             right, left = value & _LOW, value >> 32
             if right not in seen:
                 seen.add(right)

@@ -81,7 +81,7 @@ class TestLoadTsv:
         assert set(g.edges()) == M_EDGES
 
     def test_comments_and_blanks(self):
-        g = load_tsv("# edges\n\n0\ta\t1\n")
+        g = load_tsv("# edges\n\n \t#x\ta\ty\n0\ta\t1\n")
         assert g.edge_count == 1
 
     def test_malformed_line_number(self):
@@ -99,6 +99,9 @@ class TestLoadTsv:
         g = load_tsv(f"x\ta{char}\ty\nx\ta\ty\nx\ta\t{char}y\n")
         assert g.edges() == [(0, "a", 1), (0, "a", 2), (0, f"a{char}", 1)]
         assert [g.vertex_name(v) for v in g.vertices()] == ["x", "y", f"{char}y"]
+        # a comment line starts with "#" after ASCII blanks only, as fields do
+        g = load_tsv(f"{char}#x\ta\ty\n")
+        assert [g.vertex_name(v) for v in g.vertices()] == [f"{char}#x", "y"]
         with pytest.raises(GraphFormatError, match="line 2: expected 3"):
             load_tsv(f"x\ta\ty\n{char}\n")
 

@@ -109,6 +109,18 @@ def test_views_of_one_node_are_equal(g0, graph_m):
         assert p.children[0].left == (parent.left if len(p.children) == 2 else p.pivot)
 
 
+@pytest.mark.parametrize("graph", [load_tsv(M_TSV), complete_graph(5, "ab")], ids=["M", "K5"])
+def test_alternatives_are_the_packed_childrens_ids(g0, g1, graph):
+    for grammar in (g0, g1):
+        sppf = run_checked(graph, grammar).sppf
+        for node in sppf.nodes():
+            if node.kind == "packed":
+                continue
+            # a lone child is the right one, under a DUMMY left child
+            expected = [((DUMMY,) + tuple(c.id for c in p.children))[-2:] for p in node.children]
+            assert sorted(sppf.alternatives(node.id)) == sorted(expected)
+
+
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's GC objects")
 def test_packed_nodes_are_not_gc_tracked(g0):
     """A packed node is one int entry in its parent's dict, so a query makes
