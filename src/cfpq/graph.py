@@ -21,7 +21,12 @@ class GraphFormatError(ValueError):
 
 class Graph:
     """A directed graph with labeled, deduplicated edges, which live in one
-    index: ``{source: {label: sorted targets}}``."""
+    index: ``{source: {label: sorted targets}}``, whose sources and labels
+    keep the order in which they first gained an edge.
+
+    ``add_edge`` inserts one edge in O(out-degree); the loaders build the
+    whole index at once and sort each target list once.
+    """
 
     def __init__(self, vertex_count: int = 0):
         self._out: dict[int, dict[str, list[int]]] = {}
@@ -50,16 +55,6 @@ class Graph:
         """Ensure the vertex exists even if no edge mentions it."""
         if vertex > self._max_vertex:
             self._max_vertex = vertex
-
-    def _intern(self, name: str) -> int:
-        assert self._names is not None and self._ids is not None
-        vid = self._ids.get(name)
-        if vid is None:
-            vid = len(self._names)
-            self._ids[name] = vid
-            self._names.append(name)
-            self.touch_vertex(vid)
-        return vid
 
     def copy_vertices(self) -> Graph:
         """A new graph over the same vertex universe (names included), no edges."""
@@ -184,6 +179,8 @@ def load_tsv(text: str) -> Graph:
     ``1`` are two named vertices.  Numeric ids may leave gaps, but none may
     exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to the
     largest id is part of the graph, and a default query visits them all.
+    Each distinct token is mapped to its id once, and each target list is
+    sorted once, so a vertex of any out-degree loads in O(E log E).
     """
     rows: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -199,34 +196,39 @@ def load_tsv(text: str) -> Graph:
         if not source or not label or not target:
             raise GraphFormatError(f"line {lineno}: empty field")
         rows.append((lineno, source, label, target))
-    graph = Graph()
-    vertices = {v for _, s, _, t in rows for v in (s, t)}
-    numeric = all(map(_is_number, vertices))
-    if not numeric:
-        graph._names = []
-        graph._ids = {}
+    tokens = dict.fromkeys(v for _, s, _, t in rows for v in (s, t))  # first appearance order
+    if all(map(_is_number, tokens)):
+        ids = {token: int(token) for token in tokens}
+        graph = Graph(max(ids.values(), default=-1) + 1)
+        if graph.vertex_count > 2**20:  # below that, no id can exceed the limit
+            limit = 2**20 + 16 * len(ids)  # canonical numbers: one token per id
+            for lineno, source, _, target in rows:
+                if max(ids[source], ids[target]) > limit:
+                    raise GraphFormatError(
+                        f"line {lineno}: vertex id {max(ids[source], ids[target])} exceeds "
+                        f"{limit} (2**20 + 16 per distinct id)"
+                    )
+    else:
+        ids = {token: vid for vid, token in enumerate(tokens)}
+        graph = Graph(len(ids))
+        graph._names, graph._ids = list(ids), ids
+    out: dict[int, dict[str, list[int]]] = {}
     for _, source, label, target in rows:
-        if numeric:
-            graph.add_edge(int(source), label, int(target))
-        else:
-            graph.add_edge(graph._intern(source), label, graph._intern(target))
-    if numeric and graph.vertex_count > 2**20:  # below that, no id can exceed the limit
-        limit = 2**20 + 16 * len(vertices)  # canonical numbers: one token per id
-        for lineno, source, _, target in rows:
-            if max(int(source), int(target)) > limit:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex id {max(int(source), int(target))} exceeds "
-                    f"{limit} (2**20 + 16 per distinct id)"
-                )
-    return graph
+        out.setdefault(ids[source], {}).setdefault(label, []).append(ids[target])
+    return _with_index(graph, out)
 
 
 _NT_IRI = r"<[^<>\s]*>"
 _NT_BLANK = r"_:[A-Za-z0-9][A-Za-z0-9._-]*"
 _NT_ESCAPE = r"\\(?:[tbnrf\"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
-_NT_LITERAL = rf'"(?:[^"\\]|{_NT_ESCAPE})*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]+)?'
-_NT_LINE = re.compile(
-    rf"^\s*({_NT_IRI}|{_NT_BLANK})\s+({_NT_IRI})\s+({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})\s*(\.?)\s*$"
+_NT_LITERAL = rf'"(?:[^"\\\n]|{_NT_ESCAPE})*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]+)?'
+_NT_SPACE = r"[^\S\n]"  # whitespace other than a line feed
+# One match per line, none crossing a line feed: a comment or blank line sets
+# no group, a triple sets the first four, anything else only the last.
+_NT_SCAN = re.compile(
+    rf"^{_NT_SPACE}*(?:#.*|({_NT_IRI}|{_NT_BLANK}){_NT_SPACE}+({_NT_IRI}){_NT_SPACE}+"
+    rf"({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL}){_NT_SPACE}*(\.?){_NT_SPACE}*|(.*))$",
+    re.MULTILINE,
 )
 _LITERAL_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'",
                     "\\": "\\"}
@@ -243,6 +245,13 @@ def compact_uri(token: str) -> str:
         if frag:
             return frag
     return uri.rstrip("/").rsplit("/", 1)[-1] or uri
+
+
+def _iri_name(token: str) -> str:
+    name = compact_uri(token)
+    if not name:
+        raise GraphFormatError(f"IRI {token} has an empty name")
+    return name
 
 
 def _unescape(match: re.Match) -> str:
@@ -262,7 +271,7 @@ def _literal_name(token: str) -> str:
 
 def _node_name(token: str) -> str:
     if token.startswith("<"):
-        return compact_uri(token)
+        return _iri_name(token)
     if token.startswith('"'):
         return _literal_name(token)
     return token  # blank node, keep the _: prefix as a namespace
@@ -273,35 +282,59 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
 
     For a triple ``(s, p, o)`` the edges ``(s, p, o)`` and
     ``(o, p + inverse_suffix, s)`` are added.  URIs are compacted to their
-    fragment or last path segment.  Literals become vertices: their escapes
-    are decoded, then a backslash, tab, line feed and carriage return in the
-    value are written as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``, so
-    distinct values keep distinct names and each name fits on one output
-    line.  Lines end at line feeds only, so a literal may hold a form feed
-    or U+2028; trailing whitespace, such as a CRLF line's carriage return,
-    is allowed.
+    fragment or last path segment, and one that compacts to nothing, such
+    as ``<>``, is rejected.  Terms with the same compact name are one vertex:
+    ``<http://a.org/x>``, ``<http://b.org/x>`` and the literal ``"x"`` all
+    load as ``x``.  Literals become vertices: their escapes are decoded,
+    then a backslash, tab, line feed and carriage return in the value are
+    written as ``\\\\``, ``\\t``, ``\\n`` and ``\\r``, so distinct values keep
+    distinct names and each name fits on one output line.  Lines end at line
+    feeds only, so a literal may hold a form feed or U+2028; trailing
+    whitespace, such as a CRLF line's carriage return, is allowed.  Each
+    distinct term is named once, and vertices are numbered by first
+    appearance, subject before object.
     """
-    graph = Graph()
-    graph._names = []
-    graph._ids = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.lstrip()
-        if not line or line[0] == "#":
+    ids: dict[str, int] = {}  # vertex name -> id
+    vertex: dict[str, int] = {}  # term as written -> id
+    labels: dict[str, tuple[str, str]] = {}  # predicate as written -> label, inverse label
+    out: dict[int, dict[str, list[int]]] = {}
+    for lineno, (subj, pred, obj, dot, bad) in enumerate(_NT_SCAN.findall(text), start=1):
+        if not subj:
+            if bad:
+                raise GraphFormatError(f"line {lineno}: malformed triple")
             continue
-        m = _NT_LINE.match(raw)
-        if m is None:
-            raise GraphFormatError(f"line {lineno}: malformed triple")
-        if m.group(4) != ".":
+        if not dot:
             raise GraphFormatError(f"line {lineno}: unterminated statement (missing '.')")
         try:
-            obj_name = _node_name(m.group(3))
+            s = vertex.get(subj)
+            if s is None:
+                s = vertex[subj] = ids.setdefault(_node_name(subj), len(ids))
+            label = labels.get(pred)
+            if label is None:
+                name = _iri_name(pred)
+                label = labels[pred] = (name, name + inverse_suffix)
+            o = vertex.get(obj)
+            if o is None:
+                o = vertex[obj] = ids.setdefault(_node_name(obj), len(ids))
         except GraphFormatError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
-        subj = graph._intern(_node_name(m.group(1)))
-        pred = compact_uri(m.group(2))
-        obj = graph._intern(obj_name)
-        graph.add_edge(subj, pred, obj)
-        graph.add_edge(obj, pred + inverse_suffix, subj)
+        out.setdefault(s, {}).setdefault(label[0], []).append(o)
+        out.setdefault(o, {}).setdefault(label[1], []).append(s)
+    graph = Graph(len(ids))
+    graph._names, graph._ids = list(ids), ids
+    return _with_index(graph, out)
+
+
+def _with_index(graph: Graph, out: dict[int, dict[str, list[int]]]) -> Graph:
+    """Give an edgeless graph the out-index ``out``, whose target lists are in
+    row order and may repeat: each list is sorted and deduplicated once."""
+    edges = 0
+    for labels in out.values():
+        for label, targets in labels.items():
+            if len(targets) > 1:
+                targets = labels[label] = sorted(set(targets))
+            edges += len(targets)
+    graph._out, graph._edge_count = out, edges
     return graph
 
 

@@ -131,7 +131,11 @@ class _PathTables:
     Both fixpoints, a length's mask bits and its keys' sequences, take one
     pass in depth-first post-order, repeated while it changes something only
     if the search met a cycle.  Without one a pass is exact, as each child is
-    final before its parent reads it.  A node (key) that is its own child is
+    final before its parent reads it.  A repeat that reaches the entry that
+    changed last in the pass before, with no change on the way, stops there:
+    that entry and the ones after it last read what they would read now,
+    apart from the entry's own new value, which as a self-child adds
+    nothing (below).  A node (key) that is its own child is
     no cycle, and the search skips it: beside a part of length 0 it adds only
     what it has already, and in any other split it is read at a lower length,
     which is final.  The repeats converge: bits are only set, and a key's
@@ -194,14 +198,20 @@ class _PathTables:
                     return True
             return False
 
-        changed = True
-        while changed:
-            changed = False
-            for i, lo, hi, pairs in self.order:
+        stop = None
+        while True:
+            last = None  # the pass's last changed entry
+            for entry in self.order:
+                if entry is stop and last is None:
+                    break
+                i, lo, hi, pairs = entry
                 if lo <= length <= hi and not masks[i] & bit and derives(pairs):
                     masks[i] |= bit
                     rev[i] |= mirror
-                    changed = self.cyclic
+                    last = entry
+            if last is None or not self.cyclic:
+                return
+            stop = last
 
     def sequences(self, length: int) -> tuple:
         """The root's ``k`` smallest sequences of exactly ``length`` edges, sorted."""
@@ -224,15 +234,19 @@ class _PathTables:
             plan = path[key] = self._plan(*divmod(key, self.width))
             stack.append(~key)
             stack += [c for pair in plan for c in pair if c != key and c not in table]
-        changed = True
-        while changed:
-            changed = False
+        stop = None
+        while True:
+            last = None
             for key, plan in plans.items():
+                if key == stop and last is None:
+                    break
                 value = self._evaluate(plan)
                 if value != table.get(key):
                     table[key] = value
-                    changed = cyclic
-        return table[self.root * self.width + length]
+                    last = key
+            if last is None or not cyclic:
+                return table[self.root * self.width + length]
+            stop = last
 
     def _plan(self, i: int, length: int) -> list[tuple[int, int]]:
         """The child keys of every feasible (alternative, split) of a key."""

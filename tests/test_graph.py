@@ -244,6 +244,14 @@ class TestLoadNtriples:
             ('<a> <p> "\\q" .', "line 1: malformed"),
             ('<a> <p> <b> .\n<a> <p> "\\uD800" .', "line 2: escape"),
             ('<a> <p> "\\U00110000" .', "line 1: escape"),
+            ("<a> <> <b> .", "line 1: IRI <> has an empty name"),
+            ("<a> <p> <b> .\n<> <p> <c> .", "line 2: IRI <> has an empty name"),
+            ("<a> <p> <b> .\n<a> <p> <> .", "line 2: IRI <> has an empty name"),
+            # a literal ends on its own line, and the first bad line is named
+            ('<a> <p> "x .\n<a> <p> <b> .', "line 1: malformed"),
+            ('<a> <p> "x\n# a comment " .', "line 1: malformed"),
+            ('<a> <p> "x" .\n<a> <p> "x" .\n<a> <p> "y\\q" .\n<a> <p> <', "line 3: malformed"),
+            ('<a> <p> "\\u00e9" .\n<b> <p> "\\u00e9" .\n<b> <p> "\\uDFFF" .', "line 3: escape"),
         ],
     )
     def test_malformed_lines(self, text, fragment):
@@ -257,6 +265,102 @@ class TestLoadNtriples:
         for label in labels:
             partner = label[: -len("_r")] if label.endswith("_r") else label + "_r"
             assert partner in labels
+
+
+def index_in_order(graph: Graph) -> list:
+    """The out-index with its source and label order."""
+    return [(source, list(labels.items())) for source, labels in graph.adjacency.items()]
+
+
+def assert_same_graph(loaded: Graph, reference: Graph, names: list[str] | None) -> None:
+    assert index_in_order(loaded) == index_in_order(reference)
+    assert loaded.edges() == reference.edges()
+    assert loaded.vertex_count == reference.vertex_count
+    assert loaded.edge_count == reference.edge_count
+    if names is not None:
+        assert [loaded.vertex_name(v) for v in loaded.vertices()] == names
+        assert [loaded.resolve_vertex(name) for name in names] == list(range(len(names)))
+
+
+def interned(rows: list[tuple[str, str, str]]) -> tuple[Graph, list[str]]:
+    """A graph built edge by edge, vertices numbered by first appearance."""
+    ids: dict[str, int] = {}
+    graph = Graph()
+    for source, label, target in rows:
+        graph.add_edge(ids.setdefault(source, len(ids)), label, ids.setdefault(target, len(ids)))
+    return graph, list(ids)
+
+
+class TestLoadersMatchAddEdge:
+    """Each loader gives the graph that ``add_edge`` builds row by row,
+    with the same index order, ids, names and counts."""
+
+    @staticmethod
+    def shuffled_rows(rng: random.Random, tokens: list[str], count: int) -> list:
+        rows = [(rng.choice(tokens), rng.choice("abc"), rng.choice(tokens)) for _ in range(count)]
+        rows += rng.sample(rows, count // 3)  # duplicate rows
+        rng.shuffle(rows)
+        return rows
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tsv_numeric_ids(self, seed):
+        rng = random.Random(seed)
+        rows = self.shuffled_rows(rng, [str(i) for i in range(0, 40, 3)], 120)
+        reference = Graph()
+        for source, label, target in rows:
+            reference.add_edge(int(source), label, int(target))
+        loaded = load_tsv("".join(f"{s}\t{l}\t{t}\n" for s, l, t in rows))
+        assert_same_graph(loaded, reference, None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tsv_named_vertices(self, seed):
+        rng = random.Random(seed)
+        rows = self.shuffled_rows(rng, ["x", "y", "01", "1", "z z", "\u00b2"], 120)
+        reference, names = interned(rows)
+        loaded = load_tsv("".join(f"{s}\t{l}\t{t}\n" for s, l, t in rows))
+        assert_same_graph(loaded, reference, names)
+
+    def test_high_degree_star(self):
+        targets = list(range(1, 3001)) * 2
+        random.Random(1).shuffle(targets)
+        reference = Graph()
+        for target in targets:
+            reference.add_edge(0, "a", target)
+        loaded = load_tsv("".join(f"0\ta\t{t}\n" for t in targets))
+        assert_same_graph(loaded, reference, None)
+        assert loaded.adjacency[0]["a"] == list(range(1, 3001))
+
+    # (term as written, its vertex name); two IRIs and a literal share "x"
+    TERMS = [
+        ("<http://a.org/x>", "x"),
+        ("<http://b.org/ns#x>", "x"),
+        ('"x"', "x"),
+        ("<http://a.org/y/>", "y"),
+        ("_:b1", "_:b1"),
+        ('"a\\tb"@en', "a\\tb"),
+        ('"\\u00e9"^^<http://a.org/t>', "\u00e9"),
+        ("<z>", "z"),
+    ]
+    PREDICATES = [("<http://a.org/p>", "p"), ("<http://a.org/ns#q>", "q"), ("<p>", "p")]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ntriples_repeated_terms(self, seed):
+        rng = random.Random(seed)
+        subjects = [t for t in self.TERMS if not t[0].startswith('"')]
+        triples = [
+            (rng.choice(subjects), rng.choice(self.PREDICATES), rng.choice(self.TERMS))
+            for _ in range(80)
+        ]
+        triples += rng.sample(triples, 20)  # duplicate triples
+        rng.shuffle(triples)
+        rows = []
+        for (_, s), (_, p), (_, o) in triples:
+            rows += [(s, p, o), (o, p + "_inv", s)]
+        reference, names = interned(rows)
+        loaded = load_ntriples(
+            "".join(f"{s} {p} {o} .\n" for (s, _), (p, _), (o, _) in triples), "_inv"
+        )
+        assert_same_graph(loaded, reference, names)
 
 
 class TestCompleteGraph:
