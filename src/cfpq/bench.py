@@ -105,10 +105,10 @@ def fit_polynomial(
     return coeffs, r2
 
 
-def format_fit(coeffs: Sequence[float], powers: Sequence[int], variable: str = "n") -> str:
+def format_fit(coeffs: Sequence[float], powers: Sequence[int]) -> str:
     terms = []
     for c, p in zip(coeffs, powers):
-        term = f"{c:+.6f}*{variable}" + (f"^{p}" if p > 1 else "")
+        term = f"{c:+.6f}*n" + (f"^{p}" if p > 1 else "")
         terms.append(term)
     return " ".join(terms).lstrip("+")
 

@@ -47,7 +47,6 @@ class GrammarSlot:
         "symbol",
         "symbol_is_terminal",
         "at_end",
-        "is_return_slot",
         "next_slot",
         "pass_through",
     )
@@ -59,7 +58,6 @@ class GrammarSlot:
         self.symbol = production.rhs[dot] if dot < len(production.rhs) else None
         self.symbol_is_terminal = False
         self.at_end = self.symbol is None
-        self.is_return_slot = False
         self.next_slot: GrammarSlot | None = None
         self.pass_through = False
 
@@ -111,12 +109,13 @@ class Grammar:
                 slot = GrammarSlot(p, dot)
                 slots.append(slot)
                 by_key[slot.key] = slot
+        self.return_slot_count = 0  # slots right after a nonterminal
         for slot in slots:
             if slot.symbol is not None:
                 slot.symbol_is_terminal = slot.symbol in self.terminals
                 slot.next_slot = by_key[(slot.production.index, slot.dot + 1)]
             if slot.dot > 0 and slot.production.rhs[slot.dot - 1] in self.nonterminals:
-                slot.is_return_slot = True
+                self.return_slot_count += 1
             if slot.dot == 1 and not slot.at_end:
                 prev = slot.production.rhs[0]
                 slot.pass_through = prev in self.terminals or prev not in self.nullable
@@ -125,7 +124,6 @@ class Grammar:
         self.initial_slots: dict[str, tuple[GrammarSlot, ...]] = {
             a: tuple(by_key[(p.index, 0)] for p in self.alternatives[a]) for a in self.nonterminals
         }
-        self.return_slot_count: int = sum(1 for s in slots if s.is_return_slot)
 
     def slots(self) -> tuple[GrammarSlot, ...]:
         """All (production, dot) slots in stable order."""

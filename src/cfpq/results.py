@@ -7,16 +7,16 @@ first, and paths of one length in lexicographic order of their
 an empty-word match (v, v) is an accepted root and a result triple, but it
 yields no path.
 
-Cost: hop distances in the graph give each forest node below the root a
-window of lengths that a path of at most ``max_length`` edges could give it.
+Cost: hop distances in the graph give each extent below the root a window
+of lengths that a path of at most ``max_length`` edges could give its nodes.
 Lengths are built one at a time, no further than the last path emitted.
-Each length takes a children-first pass over the nodes whose window holds
-it, marking those that derive a sequence of that length, and one over the
-(node, length) keys that the root reaches through marked nodes, each
-keeping at most ``max_paths`` sequences; a pass is repeated only when the
-forest below the root has a cycle.  The work grows with the windowed nodes
-and lengths, plus breadth-first searches cut at ``max_length`` hops, not
-with the number of matching paths.
+Each length marks the nodes whose window holds it and that derive a
+sequence of that length, then evaluates the (node, length) keys that the
+root reaches through marked nodes, each keeping at most ``max_paths``
+sequences.  Both steps settle one extent at a time, and visit a node again
+only after a node of its extent changed.  The work grows with the windowed
+nodes and lengths, plus breadth-first searches cut at ``max_length`` hops,
+not with the number of matching paths.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ class _Hops(dict):
         for hop in range(1, self.depth + 1):
             frontier = {z for y in frontier for ts in self.out.get(y, {}).values() for z in ts}
             frontier.difference_update(dist)
+            if not frontier:
+                break
             dist.update(dict.fromkeys(frontier, hop))
         return dist
 
@@ -118,8 +120,8 @@ class _PathTables:
     of ``masks[left] & (rev[right] >> (max_length - L))``.  A (node, length)
     key is the int ``node * width + length``.
 
-    Each node has a length window from graph hop distances ``d``: with the
-    root spanning (s, t) and the node (u, v), ``lo = d(u, v)`` and ``hi =
+    Each extent has a length window from graph hop distances ``d``: with the
+    root spanning (s, t) and a node (u, v), ``lo = d(u, v)`` and ``hi =
     max_length - d(s, u) - d(v, t)``.  A node with an empty window is never
     expanded, and the mask pass for length L visits only the nodes whose
     window holds L.  This loses no path: a key (node, L) on a root
@@ -128,18 +130,19 @@ class _PathTables:
     window may miss bits but never gain false ones, and plans follow set
     bits only, so every key a plan reaches lies on such a derivation.
 
-    Both fixpoints, a length's mask bits and its keys' sequences, take one
-    pass in depth-first post-order, repeated while it changes something only
-    if the search met a cycle.  Without one a pass is exact, as each child is
-    final before its parent reads it.  A repeat that reaches the entry that
-    changed last in the pass before, with no change on the way, stops there:
-    that entry and the ones after it last read what they would read now,
-    apart from the entry's own new value, which as a self-child adds
-    nothing (below).  A node (key) that is its own child is
-    no cycle, and the search skips it: beside a part of length 0 it adds only
-    what it has already, and in any other split it is read at a lower length,
-    which is final.  The repeats converge: bits are only set, and a key's
-    value is the ``k`` smallest of a growing set of its true sequences.
+    Both fixpoints, a length's mask bits and its keys' sequences, are settled
+    one extent at a time.  A split of a node spanning (u, v) at length L
+    reads its parts at lengths below L, which are final, except where one
+    part has 0 edges: that part derives the empty path and spans (w, w), so
+    the other spans (u, v) itself.  So at one length a node reads only nodes
+    of its own extent, which share its window.  A node that is its own child
+    beside an empty part adds only what it has already, so an extent with
+    one node is settled by one pass.  A larger extent's mask pass is repeated
+    until it sets no bit.  Its keys are evaluated from a worklist instead, as
+    evaluating a key costs far more than testing a bit: a key whose value
+    changes puts back the keys of its length and extent that read it.  Both
+    converge: bits are only set, and a key's value is the ``k`` smallest of
+    a growing set of its true sequences.
 
     Keeping only the ``k`` smallest sequences per key is exact: the ``k``
     smallest sequences of a union lie within the members' ``k`` smallest,
@@ -148,33 +151,34 @@ class _PathTables:
 
     def __init__(self, sppf: Sppf, graph: Graph, root: int, max_length: int, k: int) -> None:
         self.root, self.max_length, self.width, self.k = root, max_length, max_length + 1, k
+        self.extent = sppf.extent
         far = self.width  # beyond every window
         hops = _Hops(graph, max_length)
         s, t = sppf.extent(root)
-        window: dict[int, tuple[int, int]] = {}  # every node reached
-        alts = self.alts = {}  # every node expanded, in post-order: its alternatives
-        path: dict[int, list] = {}  # the expanded nodes whose children are not all done
-        self.cyclic = False
+        windows: dict[tuple[int, int], tuple[int, int]] = {}  # every extent reached
+        groups: dict[tuple[int, int], list] = {}  # the expanded non-leaf nodes by extent
+        alts = self.alts = {}  # every node expanded: its alternatives
+        seen = {DUMMY}
         stack = [root]
         while stack:
             node = stack.pop()
-            if node < 0:  # ~node: every child of the node is done
-                alts[~node] = path.pop(~node)
+            if node in seen:
                 continue
-            if node in window:
-                self.cyclic |= node in path
-                continue
-            u, v = sppf.extent(node)
-            lo = hops[u].get(v, far)
-            hi = max_length - hops[s].get(u, far) - hops[v].get(t, far)
-            window[node] = lo, hi
+            seen.add(node)
+            extent = sppf.extent(node)
+            if extent not in windows:
+                u, v = extent
+                hi = max_length - hops[s].get(u, far) - hops[v].get(t, far)
+                windows[extent] = hops[u].get(v, far), hi
+            lo, hi = windows[extent]
             if hi < lo:  # no short enough path passes through the node
                 continue
-            pairs = path[node] = sppf.alternatives(node)
-            stack.append(~node)
-            stack += [c for pair in pairs for c in pair if c != node and c != DUMMY]
-        self.order = [(i, *window[i], pairs) for i, pairs in alts.items() if pairs]
-        masks = self.masks = [0] * (max(window) + 2)  # the last slot is masks[DUMMY]
+            pairs = alts[node] = sppf.alternatives(node)
+            if pairs:
+                groups.setdefault(extent, []).append((node, pairs))
+            stack += [c for pair in pairs for c in pair if c not in seen]
+        self.groups = [(*windows[extent], members) for extent, members in groups.items()]
+        masks = self.masks = [0] * (max(seen) + 2)  # the last slot is masks[DUMMY]
         rev = self.rev = [0] * len(masks)
         self.table: dict[int, tuple] = {DUMMY * self.width: ((),)}
         masks[DUMMY], rev[DUMMY] = 1, 1 << max_length
@@ -198,55 +202,48 @@ class _PathTables:
                     return True
             return False
 
-        stop = None
-        while True:
-            last = None  # the pass's last changed entry
-            for entry in self.order:
-                if entry is stop and last is None:
-                    break
-                i, lo, hi, pairs = entry
-                if lo <= length <= hi and not masks[i] & bit and derives(pairs):
-                    masks[i] |= bit
-                    rev[i] |= mirror
-                    last = entry
-            if last is None or not self.cyclic:
-                return
-            stop = last
+        for lo, hi, members in self.groups:
+            if lo <= length <= hi:
+                grew = True
+                while grew:
+                    grew = False
+                    for i, pairs in members:
+                        if not masks[i] & bit and derives(pairs):
+                            masks[i] |= bit
+                            rev[i] |= mirror
+                            grew = len(members) > 1  # one node: one pass is exact
 
     def sequences(self, length: int) -> tuple:
         """The root's ``k`` smallest sequences of exactly ``length`` edges, sorted."""
         self._grow_masks(length)
         if not self.masks[self.root] >> length & 1:
             return ()
-        table = self.table
-        plans: dict[int, list] = {}  # every key reached, in post-order: its plan
-        path: dict[int, list] = {}  # the keys whose child keys are not all done
-        cyclic = False
-        stack = [self.root * self.width + length]
+        table, width, extent = self.table, self.width, self.extent
+        top = self.root * width + length
+        plans: dict[int, list] = {}  # every key reached and not yet final: its plan
+        stack = [top]
         while stack:
             key = stack.pop()
-            if key < 0:  # ~key: every child key is done
-                plans[~key] = path.pop(~key)
-                continue
-            if key in plans or key in path:
-                cyclic |= key in path
-                continue
-            plan = path[key] = self._plan(*divmod(key, self.width))
-            stack.append(~key)
-            stack += [c for pair in plan for c in pair if c != key and c not in table]
-        stop = None
-        while True:
-            last = None
-            for key, plan in plans.items():
-                if key == stop and last is None:
-                    break
+            if key not in plans:
+                plan = plans[key] = self._plan(*divmod(key, width))
+                stack += [c for pair in plan for c in pair if c not in table]
+        groups: dict[tuple, dict] = {}  # by (length, extent): each key's plan
+        for key, plan in plans.items():
+            i, n = divmod(key, width)
+            groups.setdefault((n, extent(i)), {})[key] = plan
+        for _, work in sorted(groups.items()):
+            readers: dict[int, list] = {key: [] for key in work}
+            for key, plan in work.items():
+                for child in {c for pair in plan for c in pair if c != key and c in work}:
+                    readers[child].append(key)
+            while work:
+                key, plan = work.popitem()
                 value = self._evaluate(plan)
                 if value != table.get(key):
                     table[key] = value
-                    last = key
-            if last is None or not cyclic:
-                return table[self.root * self.width + length]
-            stop = last
+                    for reader in readers[key]:
+                        work[reader] = plans[reader]
+        return table[top]
 
     def _plan(self, i: int, length: int) -> list[tuple[int, int]]:
         """The child keys of every feasible (alternative, split) of a key."""

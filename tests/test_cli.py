@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,7 +131,7 @@ class TestQuery:
         out = tmp_path / "out.json"
         assert main(["query", "--graph", graph_file, "--grammar", grammar_file,
                      "--starts", "0", "--sppf", str(out), *flags]) == 0
-        grammar = parse_grammar(open(grammar_file, encoding="utf-8").read())
+        grammar = parse_grammar(Path(grammar_file).read_text(encoding="utf-8"))
         result = run_query(load_tsv(M_TSV), grammar, {0})
         expected = export_json(result.sppf, result.roots, verbose=bool(flags), simplify=bool(flags))
         assert out.read_text(encoding="utf-8") == expected

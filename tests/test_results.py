@@ -170,6 +170,32 @@ NULLABLE_CHAIN = "S -> N1 S\nS -> S N1\nS -> a\nS -> b S a\n" + "".join(
 ) + "N4 -> eps"
 
 
+def test_split_parts_span_the_parent_extent(g0, g1, g2):
+    # The path tables rest on this: under a parent spanning (u, v), a packed
+    # node with pivot p has its left child on (u, p), or none with p == u,
+    # and its right child on (p, v).  So a part of 0 edges leaves the other
+    # on (u, v) itself.
+    rng = random.Random(11)
+    grammars = (g0, g1, g2, parse_grammar(UNIT_CYCLES), parse_grammar(LONG_UNIT_CYCLE),
+                parse_grammar(NULLABLE_CHAIN))
+    parents = 0
+    for _ in range(6):
+        graph = random_graph(rng, max_vertices=6, labels="ab")
+        for grammar in grammars:
+            for parent in run_checked(graph, grammar).sppf.nodes():
+                if parent.kind not in ("nonterminal", "intermediate"):
+                    continue
+                parents += 1
+                for packed in parent.children:
+                    *left, right = packed.children
+                    assert (right.left, right.right) == (packed.pivot, parent.right)
+                    if left:
+                        assert (left[0].left, left[0].right) == (parent.left, packed.pivot)
+                    else:
+                        assert packed.pivot == parent.left
+    assert parents > 1000
+
+
 class TestEnumeratePathsAgainstWalks:
     """The exact listing, cut at max_paths, equals brute-force walk
     enumeration filtered by word membership and sorted by (length, edges)."""
@@ -191,13 +217,16 @@ class TestEnumeratePathsAgainstWalks:
 
     def test_listing_matches_walks(self, g0, g1, g2):
         graphs = random.Random(2017)
-        rng = random.Random(5)
-        grammars = (g0, g1, g2, parse_grammar(UNIT_CYCLES), parse_grammar(LONG_UNIT_CYCLE))
+        draws = random.Random(5)
+        # NULLABLE_CHAIN draws from its own stream, so the others keep theirs.
+        grammars = [(grammar, draws) for grammar in (g0, g1, g2, parse_grammar(UNIT_CYCLES),
+                                                   parse_grammar(LONG_UNIT_CYCLE))]
+        grammars.append((parse_grammar(NULLABLE_CHAIN), random.Random(6)))
         tie_cuts = 0
         for _ in range(8):
             graph = random_graph(graphs, max_vertices=6, labels="ab")
             vertices = list(graph.vertices())
-            for grammar in grammars:
+            for grammar, rng in grammars:
                 listing = self.reference(graph, grammar)
                 starts = set(rng.sample(vertices, rng.randint(1, len(vertices))))
                 finals = set(rng.sample(vertices, rng.randint(1, len(vertices))))
