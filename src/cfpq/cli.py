@@ -131,6 +131,10 @@ def cmd_paths(args: argparse.Namespace) -> int:
     grammar, graph, starts, finals = _load_inputs(args)
     source = _resolve_vertex(graph, args.source)
     target = _resolve_vertex(graph, args.target)
+    # The forest below the (source, target) root is the same for any start
+    # and final sets that keep the pair, so query the pair alone.
+    starts = {source} if starts is None or source in starts else set()
+    finals = {target} if finals is None or target in finals else set()
     result = run_query(graph, grammar, starts, finals)
     limits = PathQueryLimits(max_paths=args.max_count, max_length=args.max_length)
     emitted = 0

@@ -9,14 +9,15 @@ yields no path.
 
 Cost: hop distances in the graph give each extent below the root a window
 of lengths that a path of at most ``max_length`` edges could give its nodes.
-Lengths are built one at a time, no further than the last path emitted.
-Each length marks the nodes whose window holds it and that derive a
-sequence of that length, then evaluates the (node, length) keys that the
-root reaches through marked nodes, each keeping at most ``max_paths``
-sequences.  Both steps settle one extent at a time, and visit a node again
-only after a node of its extent changed.  The work grows with the windowed
-nodes and lengths, plus breadth-first searches cut at ``max_length`` hops,
-not with the number of matching paths.
+Lengths are built one at a time, up to the last path emitted or twice the
+longest length derived below the root.  Each length marks the nodes whose
+window holds it and that derive a sequence of that length, then evaluates
+the (node, length) keys that the root reaches through marked nodes, each
+keeping at most ``max_paths`` sequences.  Both steps settle one extent at a
+time, and visit a node again only after a node of its extent changed.  Work
+and memory grow with the windowed nodes and the lengths read, plus
+breadth-first searches cut at ``max_length`` hops, not with ``max_length``
+or the number of matching paths.
 """
 
 from __future__ import annotations
@@ -115,10 +116,12 @@ class _PathTables:
     Nodes are store ids, whose packed nodes are (left, right) alternatives;
     DUMMY, the absent left child, has the last mask slot and derives only the
     empty sequence.  Bit L of ``masks[i]`` is set when node i derives a
-    sequence of exactly L edges, and ``rev[i]`` mirrors it (bit ``max_length
-    - L``), so an alternative's feasible splits at length L are the set bits
-    of ``masks[left] & (rev[right] >> (max_length - L))``.  A (node, length)
-    key is the int ``node * width + length``.
+    sequence of exactly L edges.  An alternative's splits at length L are
+    the set bits b of ``masks[right] & ((2 << L) - 1)`` (one symbol, most
+    often one edge) with bit L - b set in ``masks[left]``.  A (node, length)
+    key is the int ``node * width + length``.  No bit lies above twice
+    ``longest``, the highest length of any bit: it would need a part longer
+    than that, or a part of its own length that its pass must set first.
 
     Each extent has a length window from graph hop distances ``d``: with the
     root spanning (s, t) and a node (u, v), ``lo = d(u, v)`` and ``hi =
@@ -150,7 +153,7 @@ class _PathTables:
     """
 
     def __init__(self, sppf: Sppf, graph: Graph, root: int, max_length: int, k: int) -> None:
-        self.root, self.max_length, self.width, self.k = root, max_length, max_length + 1, k
+        self.root, self.width, self.k = root, max_length + 1, k
         self.extent = sppf.extent
         far = self.width  # beyond every window
         hops = _Hops(graph, max_length)
@@ -179,27 +182,29 @@ class _PathTables:
             stack += [c for pair in pairs for c in pair if c not in seen]
         self.groups = [(*windows[extent], members) for extent, members in groups.items()]
         masks = self.masks = [0] * (max(seen) + 2)  # the last slot is masks[DUMMY]
-        rev = self.rev = [0] * len(masks)
         self.table: dict[int, tuple] = {DUMMY * self.width: ((),)}
-        masks[DUMMY], rev[DUMMY] = 1, 1 << max_length
+        masks[DUMMY] = 1
         for i, pairs in alts.items():
             if not pairs:  # a leaf: a terminal edge or the empty word
                 edge = sppf.terminal_edge(i)
                 sequence = (edge,) if edge else ()
-                masks[i], rev[i] = 1 << len(sequence), 1 << (max_length - len(sequence))
+                masks[i] = 1 << len(sequence)
                 self.table[i * self.width + len(sequence)] = (sequence,)
         self._grow_masks(0)
+        self.longest = max(masks).bit_length() - 1
 
     def _grow_masks(self, length: int) -> None:
         """Set bit ``length`` in every mask whose window holds it; lower bits are final."""
-        shift = self.max_length - length
-        bit, mirror = 1 << length, 1 << shift
-        masks, rev = self.masks, self.rev
+        bit, below, masks = 1 << length, (2 << length) - 1, self.masks
 
         def derives(pairs: list) -> bool:
             for left, right in pairs:
-                if masks[left] & (rev[right] >> shift):
-                    return True
+                splits = masks[right] & below
+                while splits:
+                    low = splits & -splits
+                    if masks[left] * low & bit:  # low is 1 << b: masks[left] moved up by b
+                        return True
+                    splits ^= low
             return False
 
         for lo, hi, members in self.groups:
@@ -210,7 +215,7 @@ class _PathTables:
                     for i, pairs in members:
                         if not masks[i] & bit and derives(pairs):
                             masks[i] |= bit
-                            rev[i] |= mirror
+                            self.longest = length
                             grew = len(members) > 1  # one node: one pass is exact
 
     def sequences(self, length: int) -> tuple:
@@ -247,15 +252,15 @@ class _PathTables:
 
     def _plan(self, i: int, length: int) -> list[tuple[int, int]]:
         """The child keys of every feasible (alternative, split) of a key."""
-        width, masks, rev = self.width, self.masks, self.rev
-        shift = self.max_length - length
+        width, masks, bit, below = self.width, self.masks, 1 << length, (2 << length) - 1
         plan = []
         for left, right in self.alts[i]:
-            splits = masks[left] & (rev[right] >> shift)
+            splits = masks[right] & below
             while splits:
                 low = splits & -splits
-                split = low.bit_length() - 1
-                plan.append((left * width + split, right * width + length - split))
+                if masks[left] * low & bit:
+                    split = length + 1 - low.bit_length()
+                    plan.append((left * width + split, right * width + length - split))
                 splits ^= low
         return plan
 
@@ -287,6 +292,8 @@ def enumerate_paths(
     tables = _PathTables(result.sppf, result.graph, root.id, limits.max_length, limits.max_paths)
     emitted = 0
     for length in range(1, limits.max_length + 1):
+        if length > 2 * tables.longest:  # the forest derives no longer sequence
+            return
         for edges in tables.sequences(length):
             yield Path(edges)
             emitted += 1

@@ -253,6 +253,38 @@ class TestPaths:
             " -b-> 3 -b-> 0 -b-> 3 -b-> 0 -b-> 3 -b-> 0"
         ]
 
+    @staticmethod
+    def record_queries(monkeypatch) -> list:
+        queries = []
+
+        def recorded(graph, grammar, starts, finals):
+            queries.append((starts, finals))
+            return run_query(graph, grammar, starts, finals)
+
+        monkeypatch.setattr("cfpq.cli.run_query", recorded)
+        return queries
+
+    def test_only_the_asked_pair_is_queried(self, graph_file, grammar_file, monkeypatch, capsys):
+        queries = self.record_queries(monkeypatch)
+        code = main(
+            ["paths", "--graph", graph_file, "--grammar", grammar_file, "--starts", "0,1",
+             "--from", "0", "--to", "3", "--max-count", "2", "--max-length", "12"]
+        )
+        assert code == 0
+        assert queries == [({0}, {3})]
+        assert capsys.readouterr().out == "0 -a-> 1 -a-> 2 -a-> 0 -b-> 3 -b-> 0 -b-> 3\n"
+
+    def test_source_outside_the_starts_exits_1(self, graph_file, grammar_file, monkeypatch,
+                                               capsys):
+        queries = self.record_queries(monkeypatch)
+        code = main(
+            ["paths", "--graph", graph_file, "--grammar", grammar_file, "--starts", "1,2",
+             "--from", "0", "--to", "3", "--max-count", "2", "--max-length", "12"]
+        )
+        assert code == 1
+        assert queries == [(set(), {3})]
+        assert capsys.readouterr().out == ""
+
     def test_zero_max_count_rejected(self, graph_file, grammar_file):
         assert main(
             ["paths", "--graph", graph_file, "--grammar", grammar_file,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -16,7 +17,7 @@ from cfpq.results import (
     reachable_pairs,
 )
 from cfpq.grammar import parse_grammar
-from cfpq.graph import Graph, load_ntriples
+from cfpq.graph import Graph, complete_graph, load_ntriples
 from cfpq.sppf import _reachable
 from conftest import (
     P0,
@@ -156,6 +157,57 @@ class TestEnumeratePaths:
         assert [len(p) for p in enumerate_paths(result, 0, 12, PathQueryLimits(5, 12))] == [12]
         tables = _PathTables(result.sppf, graph, root.id, 8, 5)
         assert indexed_nodes(tables) < len(_reachable(result.sppf, [root.id]))
+
+    @staticmethod
+    def count_mask_passes(monkeypatch) -> list[int]:
+        passes: list[int] = []
+        grow = _PathTables._grow_masks
+
+        def counted(self, length: int) -> None:
+            passes.append(length)
+            grow(self, length)
+
+        monkeypatch.setattr(_PathTables, "_grow_masks", counted)
+        return passes
+
+    def test_lengths_stop_where_the_forest_stops(self, monkeypatch):
+        # The root derives only "ab": lengths 3 and 4 are read, as a length
+        # above twice the longest derivable one can hold no path.
+        result = run_checked(linear_graph("ab"), parse_grammar("S -> a b"))
+        passes = self.count_mask_passes(monkeypatch)
+        paths = [p.edges for p in enumerate_paths(result, 0, 2, PathQueryLimits(5, 50_000))]
+        assert paths == [((0, "a", 1), (1, "b", 2))]
+        assert len(passes) <= 5
+
+    def test_empty_word_root_reads_no_length(self, g0, monkeypatch):
+        result = run_checked(Graph(vertex_count=3), g0)
+        passes = self.count_mask_passes(monkeypatch)
+        assert list(enumerate_paths(result, 1, 1, PathQueryLimits(5, 10**6))) == []
+        assert passes == [0]
+
+    def test_lengths_go_on_past_empty_lengths(self):
+        # Only lengths 1, 2, 4 and 8 are derivable: 5 to 7 are empty, but
+        # none lies above twice the longest length set before it.
+        grammar = parse_grammar("S -> A A\nA -> B B\nB -> C C\nC -> a")
+        result = run_checked(linear_graph("a" * 8), grammar)
+        paths = list(enumerate_paths(result, 0, 8, PathQueryLimits(5, 100)))
+        assert [len(p) for p in paths] == [8]
+
+    def test_table_memory_does_not_follow_max_length(self, g0):
+        result = run_checked(complete_graph(8, "ab"), g0)
+
+        def traced(max_length: int) -> tuple[list, int]:
+            tracemalloc.start()
+            try:
+                paths = list(enumerate_paths(result, 0, 1, PathQueryLimits(10, max_length)))
+                return paths, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, short_peak = traced(8)
+        long, long_peak = traced(10**6)
+        assert len(short) == 10 and long == short
+        assert long_peak <= 2 * short_peak, (long_peak, short_peak)
 
 
 UNIT_CYCLES = "S -> A S\nS -> a\nA -> eps\nA -> A A"
