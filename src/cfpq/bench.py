@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 import time
@@ -114,8 +115,11 @@ def format_fit(coeffs: Sequence[float], powers: Sequence[int]) -> str:
 
 
 def write_csv(records: Iterable[BenchRecord], stream: TextIO) -> None:
-    stream.write(CSV_HEADER + "\n")
-    for r in sorted(records, key=lambda r: (r.grammar_id, r.n)):
-        stream.write(
-            f"{r.n},{r.grammar_id},{r.time_ms:.3f},{r.sppf_nodes},{r.gss_nodes},{r.descriptors}\n"
-        )
+    """The header, then one row per record; a grammar id holding a comma or
+    a quote is quoted."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(
+        (r.n, r.grammar_id, f"{r.time_ms:.3f}", r.sppf_nodes, r.gss_nodes, r.descriptors)
+        for r in sorted(records, key=lambda r: (r.grammar_id, r.n))
+    )

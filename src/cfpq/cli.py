@@ -216,7 +216,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"(R^2={r2:.6f})")
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 bench_mod.write_csv(records, fh)
         except OSError as exc:
             raise CliError(f"cannot write {args.out!r}: {exc}") from exc

@@ -28,9 +28,11 @@ epsilon, nonterminal, intermediate, then by the rest of the key); packed
 nodes follow in parent order, and in (production, pivot) order under one
 parent.  Edges are sorted by (source id, target id), so a packed node's
 children are not listed left first: the left child is the one whose
-``right`` is the other's ``left``.  Edges and packed records hold only
-integers and are written as text through a per-format template; the bytes
-of :func:`export_json` equal one ``json.dumps`` of the whole ``{"nodes":
+``right`` is the other's ``left``.  Records and edges are written as text
+through per-format templates, a non-packed record through one template per
+distinct kind, label and ambiguity in an export, so only labels go through
+``json.dumps``, once per distinct label per export.  The bytes of
+:func:`export_json` equal one ``json.dumps`` of the whole ``{"nodes":
 [...], "edges": [...]}`` object.
 """
 
@@ -40,7 +42,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import countOf
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .grammar import Grammar, GrammarSlot
 
@@ -115,16 +117,17 @@ class SppfNode:
         return _describe(self.sppf, self.sppf._keys[self.id])
 
 
+def _label(sppf: Sppf, key: tuple) -> str:
+    """The label text of a non-packed node: the edge label or nonterminal,
+    the dotted slot of an intermediate node, ``eps`` for epsilon."""
+    if key[0] == 1:
+        return "eps"
+    return repr(sppf.grammar.slot(key[1], key[2])) if key[0] == 3 else key[1]
+
+
 def _describe(sppf: Sppf, key: tuple) -> str:
     """``(left, label, right)``, as views print and DOT labels read."""
-    rank, left, right = key[0], key[-2], key[-1]
-    if rank == 1:
-        label = "eps"
-    elif rank == 3:
-        label = repr(sppf.grammar.slot(key[1], key[2]))
-    else:
-        label = key[1]
-    return f"({left}, {label}, {right})"
+    return f"({key[-2]}, {_label(sppf, key)}, {key[-1]})"
 
 
 @dataclass(frozen=True)
@@ -274,14 +277,18 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: 
         alternatives = packed_of[nid]
         if not alternatives:
             continue
-        order = sorted(alternatives)
-        if simplify and len(order) == 1:  # the parent takes the packed node's children
+        lone = len(alternatives) == 1
+        order = alternatives if lone else sorted(alternatives)  # a dict iterates its keys
+        if simplify and lone:  # the parent takes the packed node's children
             source, out = parent, chunks
         else:
             source, out = next_packed, packed_chunks
             next_packed += len(order)
             packed += order
-            chunks.append(sep.join([edge % (parent, p) for p in range(source, next_packed)]))
+            if lone:
+                chunks.append(edge % (parent, source))
+            else:
+                chunks.append(sep.join([edge % (parent, p) for p in range(source, next_packed)]))
         for value in map(alternatives.__getitem__, order):
             left, right = number[value >> 32], number[value & _LOW]
             if left < 0:
@@ -295,17 +302,29 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: 
     return pool, packed, sep.join(chunks)
 
 
-def _node_record(sppf: Sppf, nid: int, number: int) -> dict:
-    key = sppf._keys[nid]
-    rank = key[0]
-    record: dict = {"id": number, "kind": _KINDS[rank], "left": key[-2], "right": key[-1]}
-    if rank == 3:
-        record["label"] = repr(sppf.grammar.slot(key[1], key[2]))
-    elif rank != 1:
-        record["label"] = key[1]
-    if rank >= 2 and len(sppf._packed[nid]) >= 2:
-        record["ambiguous"] = True
-    return record
+def _node_records(
+    sppf: Sppf, pool: list[int], template: Callable[[Sppf, tuple, bool], str]
+) -> list[str]:
+    """One text record per exported non-packed node, from one ``template(sppf,
+    key, ambiguous)`` text per distinct kind, label (the key less its
+    extension) and ambiguity, with a ``%d`` each for the number, left and right."""
+    keys, packed_of = sppf._keys, sppf._packed
+    templates: tuple[dict, dict] = ({}, {})  # by ambiguity, then by key head
+    records = []
+    for number, nid in enumerate(pool):
+        key = keys[nid]
+        ambiguous = len(packed_of[nid] or ()) >= 2
+        text = templates[ambiguous].get(key[:-2])
+        if text is None:
+            text = templates[ambiguous][key[:-2]] = template(sppf, key, ambiguous)
+        records.append(text % (number, key[-2], key[-1]))
+    return records
+
+
+def _json_template(sppf: Sppf, key: tuple, ambiguous: bool) -> str:
+    label = "" if key[0] == 1 else ', "label": ' + json.dumps(_label(sppf, key)).replace("%", "%%")
+    flag = ', "ambiguous": true' if ambiguous else ""
+    return f'{{"id": %d, "kind": "{_KINDS[key[0]]}", "left": %d, "right": %d{label}{flag}}}'
 
 
 def export_json(
@@ -316,11 +335,10 @@ def export_json(
     simplify: bool = False,
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as compact,
-    single-line JSON.  Only the non-packed records, whose labels may need
-    escaping, go through ``json.dumps``."""
+    single-line JSON.  Only labels, which may need escaping, go through
+    ``json.dumps``: once per distinct label per export."""
     pool, packed, edges = _layout(sppf, roots, simplify, "[%d, %d]", ", ")
-    records = [_node_record(sppf, nid, number) for number, nid in enumerate(pool)]
-    nodes = [json.dumps(records, check_circular=False)[1:-1]] if records else []
+    nodes = [", ".join(_node_records(sppf, pool, _json_template))] if pool else []
     if packed:
         first = len(pool)
         if verbose:
@@ -336,6 +354,12 @@ def export_json(
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
 
 
+def _dot_template(sppf: Sppf, key: tuple, ambiguous: bool) -> str:
+    label = _label(sppf, key).replace('"', '\\"').replace("%", "%%")
+    style = ", style=filled" if ambiguous else ""
+    return f'  n%d [shape={_DOT_SHAPES[key[0]]}, label="(%d, {label}, %d)"{style}];'
+
+
 def export_dot(
     sppf: Sppf,
     roots: Iterable[SppfNode] | None = None,
@@ -343,17 +367,11 @@ def export_dot(
     verbose: bool = False,
     simplify: bool = False,
 ) -> str:
-    """Render the forest in DOT: boxes for terminal/intermediate nodes, ovals
-    for nonterminals (filled when ambiguous), points for packed nodes."""
+    """Render the forest in DOT: boxes for terminal, epsilon and intermediate
+    nodes, ovals for nonterminals, points for packed nodes.  A nonterminal or
+    intermediate node with two or more packed nodes is filled."""
     pool, packed, edges = _layout(sppf, roots, simplify, "  n%d -> n%d;", "\n")
-    lines = ["digraph sppf {"]
-    for number, nid in enumerate(pool):
-        key = sppf._keys[nid]
-        label = _describe(sppf, key).replace('"', '\\"')
-        attrs = f'shape={_DOT_SHAPES[key[0]]}, label="{label}"'
-        if key[0] >= 2 and len(sppf._packed[nid]) >= 2:
-            attrs += ", style=filled"
-        lines.append(f"  n{number} [{attrs}];")
+    lines = ["digraph sppf {", *_node_records(sppf, pool, _dot_template)]
     if verbose:
         point = '  n%d [shape=point, xlabel="(%d, %d)"];'
         lines += [point % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, len(pool))]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -328,6 +329,18 @@ class TestBench:
         assert lines[0] == "n,grammar,time_ms,sppf_nodes,gss_nodes,descriptors"
         nodes = [int(line.split(",")[3]) for line in lines[1:]]
         assert nodes == sorted(nodes)
+
+    def test_csv_quotes_a_grammar_path_with_a_comma(self, tmp_path, capsys):
+        grammar = tmp_path / 'my,"gram".cfg'
+        grammar.write_text("S -> a S b\nS -> a b\n", encoding="utf-8")
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--grammar", str(grammar), "--sizes", "2,3,4,5", "--out", str(out)])
+        assert code == 0
+        with out.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "grammar", "time_ms", "sppf_nodes", "gss_nodes", "descriptors"]
+        assert [len(row) for row in rows] == [6] * 5
+        assert [row[1] for row in rows[1:]] == [str(grammar)] * 4
 
     def test_csv_in_a_missing_directory_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "nodir" / "bench.csv")

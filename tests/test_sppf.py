@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+from cfpq.cli import load_builtin_grammar
 from cfpq.engine import run_query
 from cfpq.grammar import parse_grammar
-from cfpq.graph import complete_graph, load_tsv
+from cfpq.graph import complete_graph, load_ntriples, load_tsv
 from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json
 from conftest import (
     G0_TEXT,
@@ -25,6 +26,7 @@ from conftest import (
     reference_layout,
     run_checked,
 )
+from test_acceptance import SYNTHETIC_ONTOLOGY
 
 EXPORT_GRAMMARS = {
     "g0": G0_TEXT,
@@ -381,4 +383,23 @@ def test_export_equals_reference_encoder_with_escaped_labels():
     text = export_json(result.sppf, result.roots, verbose=True)
     for label in ('"\\""', '"\\\\"', '"\\u00e9"'):
         assert f'"label": {label}' in text
+    _assert_matches_reference(result)
+
+
+def test_export_equals_reference_encoder_with_percent_labels():
+    # labels reach the exports' %-templates as text, so a % in one must stay literal
+    graph = load_tsv("x\t%d\ty\ny\t%%\tz\nz\t%s\tx\nx\t%s\tx\ny\t%d\tx")
+    grammar = parse_grammar("S -> %d S %%\nS -> %s\nS -> S S\nS -> eps")
+    result = run_checked(graph, grammar)
+    assert result.success
+    text = export_json(result.sppf, result.roots, verbose=True)
+    for label in ('"%d"', '"%%"', '"%s"', '"S -> %d S . %%"'):
+        assert f'"label": {label}' in text
+    _assert_matches_reference(result)
+
+
+def test_export_equals_reference_encoder_on_a_q1_ontology_forest():
+    result = run_checked(load_ntriples(SYNTHETIC_ONTOLOGY), load_builtin_grammar("q1"))
+    parents = [len(packed) for packed in result.sppf._packed if packed]
+    assert parents.count(1) > len(parents) / 2  # most parents have one packed node
     _assert_matches_reference(result)
