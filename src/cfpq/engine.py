@@ -4,9 +4,11 @@ One :class:`QueryEngine` owns a single execution: the descriptor worklist,
 the merged-stack nodes and the forest under construction.  A descriptor is a
 suspended configuration (slot, stack node, vertex, forest node); each is
 processed exactly once, last in first out, though any order gives the same
-answer.  Input positions are graph vertices, so consuming a terminal fans out
-over all matching out-edges, and the run starts from every requested start
-vertex at once.
+answer.  Each combine passes ``Sppf.get_node_p`` the extents it holds and
+looks the descriptor up by (slot, forest node) before ``add``: a forest node
+other than DUMMY spans (stack origin, vertex) on a stack node of the slot's
+left-hand side.  Input positions are graph vertices, so consuming a terminal
+fans out over all matching out-edges, and the run starts from every start vertex.
 
 Forest nodes are integer ids into the :class:`~cfpq.sppf.Sppf` store, and
 ``DUMMY = -1`` is the empty forest before anything matched, so descriptors
@@ -88,7 +90,7 @@ class QueryEngine:
         self.final_vertices = _vertex_set(final_vertices, graph.vertex_count)
         self.sppf = Sppf(grammar)
         self._pending: deque = deque()
-        self._seen: set = set()
+        self._seen: dict[GrammarSlot, set] = {}
         self._gss: dict[tuple, GssNode] = {}
         for vertex in sorted(self.start_vertices):
             self._call(grammar.start, vertex)
@@ -96,17 +98,22 @@ class QueryEngine:
     # -- worklist ------------------------------------------------------------
 
     def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int) -> None:
-        """Queue a descriptor unless an identical one was ever created."""
-        descriptor = (slot, stack, vertex, sppf_node)
-        if descriptor in self._seen:
+        """Queue a descriptor unless one was ever created with its identity:
+        (slot, forest node), or (slot, stack, vertex) under DUMMY."""
+        seen = self._seen.get(slot)
+        if seen is None:
+            seen = self._seen[slot] = set()
+        member = (stack, vertex) if sppf_node == DUMMY else sppf_node
+        if member in seen:
             return
+        assert stack.nonterminal == slot.production.lhs, f"{slot!r} on {stack!r}"
         # Every created forest node spans exactly (stack origin, current vertex).
         assert sppf_node == DUMMY or self.sppf.extent(sppf_node) == (stack.index, vertex), (
             f"descriptor extension mismatch: {self.sppf.node(sppf_node)!r} at {stack!r}, "
             f"vertex {vertex}"
         )
-        self._seen.add(descriptor)
-        self._pending.append(descriptor)
+        seen.add(member)
+        self._pending.append((slot, stack, vertex, sppf_node))
 
     def _call(self, nonterminal: str, vertex: int) -> GssNode:
         """The stack node of a call of ``nonterminal`` at ``vertex``.  Creating
@@ -145,9 +152,11 @@ class QueryEngine:
         edge = (return_slot, sppf_node, stack)
         if edge not in node.edges:
             node.edges[edge] = None
-            for popped, right in node.pops.items():
-                combined = self.sppf.get_node_p(return_slot, sppf_node, popped)
-                self.add(return_slot, stack, right, combined)
+            get_node_p, seen = self.sppf.get_node_p, self._seen.setdefault(return_slot, set())
+            for popped, end in node.pops.items():
+                combined = get_node_p(return_slot, sppf_node, popped, stack.index, node.index, end)
+                if combined not in seen:
+                    self.add(return_slot, stack, end, combined)
         return node
 
     def pop(self, stack: GssNode, vertex: int, sppf_node: int) -> None:
@@ -155,9 +164,11 @@ class QueryEngine:
         if sppf_node in stack.pops:
             return
         stack.pops[sppf_node] = vertex
-        for return_slot, edge_sppf, caller in stack.edges:
-            combined = self.sppf.get_node_p(return_slot, edge_sppf, sppf_node)
-            self.add(return_slot, caller, vertex, combined)
+        get_node_p, seen = self.sppf.get_node_p, self._seen
+        for slot, edge_sppf, caller in stack.edges:
+            combined = get_node_p(slot, edge_sppf, sppf_node, caller.index, stack.index, vertex)
+            if combined not in seen.get(slot, ()):
+                self.add(slot, caller, vertex, combined)
 
     # -- descriptor dispatch ----------------------------------------------------
 
@@ -167,15 +178,17 @@ class QueryEngine:
         symbol = slot.symbol
         if symbol is None:
             if current == DUMMY:  # empty right-hand side
-                current = self.sppf.get_node_p(slot, DUMMY, self.sppf.epsilon_node(vertex))
+                epsilon = self.sppf.epsilon_node(vertex)
+                current = self.sppf.get_node_p(slot, DUMMY, epsilon, vertex, vertex, vertex)
             self.pop(stack, vertex, current)
         elif slot.symbol_is_terminal:
-            next_slot = slot.next_slot
-            terminal_node = self.sppf.terminal_node
-            get_node_p = self.sppf.get_node_p
+            next_slot, seen = slot.next_slot, self._seen.setdefault(slot.next_slot, set())
+            terminal_node, get_node_p = self.sppf.terminal_node, self.sppf.get_node_p
             for target in self.graph.adjacency.get(vertex, {}).get(symbol, ()):
-                combined = get_node_p(next_slot, current, terminal_node(vertex, symbol, target))
-                self.add(next_slot, stack, target, combined)
+                right = terminal_node(vertex, symbol, target)
+                combined = get_node_p(next_slot, current, right, stack.index, vertex, target)
+                if combined not in seen:
+                    self.add(next_slot, stack, target, combined)
         else:
             self.create(slot.next_slot, stack, vertex, current)
 
@@ -193,8 +206,8 @@ class QueryEngine:
             for popped, right in stack.pops.items()
             if right in self.final_vertices
         )
-        stats = EngineStats(
-            descriptors=len(self._seen),
+        stats = EngineStats(  # most single-source lookups create no descriptor: skip the sum
+            descriptors=sum(map(len, self._seen.values())) if self._seen else 0,
             gss_nodes=len(self._gss),
             gss_edges=sum(len(node.edges) for node in self._gss.values()),
         )

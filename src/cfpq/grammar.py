@@ -37,7 +37,8 @@ class GrammarSlot:
     dot (None at the end), ``next_slot`` the slot with the dot advanced, and
     ``pass_through`` whether forest construction forwards the right child
     unchanged (dot after a single terminal or non-nullable nonterminal, with
-    more symbols to come).
+    more symbols to come).  ``node_prefix`` and ``packed_base`` key the
+    forest parent a combine at this slot builds (layout in :mod:`cfpq.sppf`).
     """
 
     __slots__ = (
@@ -49,6 +50,8 @@ class GrammarSlot:
         "at_end",
         "next_slot",
         "pass_through",
+        "node_prefix",
+        "packed_base",
     )
 
     def __init__(self, production: Production, dot: int):
@@ -60,6 +63,8 @@ class GrammarSlot:
         self.at_end = self.symbol is None
         self.next_slot: GrammarSlot | None = None
         self.pass_through = False
+        self.node_prefix = (2, production.lhs) if self.at_end else (3, production.index, dot)
+        self.packed_base = production.index << 32
 
     def __repr__(self) -> str:
         rhs = self.production.rhs

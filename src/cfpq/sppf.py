@@ -9,18 +9,20 @@ The store has three parts:
   right)`` for a terminal, ``(1, v, v)`` for the epsilon node at ``v``,
   ``(2, label, left, right)`` for a nonterminal and ``(3, production, dot,
   left, right)`` for an intermediate node, so its last two fields are the
-  extension and the keys sort in export order;
+  extension and the keys sort in export order.  A parent's key less its
+  extension is ``GrammarSlot.node_prefix`` of the slot that builds it;
 * ``_packed`` holds, for a nonterminal or intermediate parent, one int
-  entry per packed node, ``{production << 32 | pivot: left << 32 | right}``,
-  and None for a leaf.  Keys sort as ``(production, pivot)`` pairs do; a
-  DUMMY left child makes the value negative, which ``>> 32`` and ``&
-  0xFFFFFFFF`` still decode.  Vertices and ids must stay below 2**32: the
-  engine rejects larger graphs, and each id holds a key tuple in memory.
-  Two or more packed nodes mark an ambiguity.
+  entry per packed node, ``{production << 32 | pivot: left << 32 | right}``
+  (``GrammarSlot.packed_base`` is ``production << 32``), and None for a
+  leaf.  Keys sort as ``(production, pivot)`` pairs do; a DUMMY left child
+  makes the value negative, which ``>> 32`` and ``& 0xFFFFFFFF`` still
+  decode.  Vertices and ids must stay below 2**32: the engine rejects larger
+  graphs, and each id holds a key tuple in memory.  Two or more packed nodes
+  mark an ambiguity.
 
 ``DUMMY = -1`` is the absent left child, and in the engine the empty forest
-before anything matched.  The key layout stays inside this module: callers
-hold ids, call :class:`Sppf` methods, and read nodes through
+before anything matched.  The key layout stays inside this module and those
+two slot fields: callers hold ids, call :class:`Sppf` methods, and read nodes through
 :class:`SppfNode` views made on demand.
 
 Exports number non-packed nodes first, in key order (by kind: terminal,
@@ -157,7 +159,7 @@ class Sppf:
         if nid is None:
             nid = self._ids[key] = len(self._keys)
             self._keys.append(key)
-            self._packed.append({} if key[0] >= 2 else None)
+            self._packed.append(None)
         return nid
 
     def terminal_node(self, source: int, label: str, target: int) -> int:
@@ -166,25 +168,29 @@ class Sppf:
     def epsilon_node(self, vertex: int) -> int:
         return self._intern((1, vertex, vertex))
 
-    def get_node_p(self, slot: GrammarSlot, left: int, right: int) -> int:
+    def get_node_p(
+        self, slot: GrammarSlot, left: int, right: int, start: int, pivot: int, end: int
+    ) -> int:
         """Combine a partial derivation with the piece just parsed.
 
         Forwards ``right`` unchanged for pass-through slots; otherwise interns
         the nonterminal (dot at the end) or intermediate parent spanning both
         children and records the (production, pivot) alternative under it.
+        The caller passes the extents, ``left`` on (start, pivot) or DUMMY with
+        ``start == pivot`` and ``right`` on (pivot, end); a new parent checks them.
         """
         if slot.pass_through:
             return right
-        keys = self._keys
-        pivot, right_extent = keys[right][-2:]
-        left_extent = keys[left][-2] if left != DUMMY else pivot
-        production = slot.production
-        if slot.at_end:
-            key = (2, production.lhs, left_extent, right_extent)
-        else:
-            key = (3, production.index, slot.dot, left_extent, right_extent)
-        parent = self._intern(key)
-        self._packed[parent].setdefault(production.index << 32 | pivot, left << 32 | right)
+        key = slot.node_prefix + (start, end)
+        parent = self._ids.get(key)
+        if parent is None:
+            assert self._keys[right][-2:] == (pivot, end) and (
+                start == pivot if left == DUMMY else self._keys[left][-2:] == (start, pivot)
+            ), f"extents ({start}, {pivot}, {end}) contradict children {left}, {right}"
+            parent = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            self._packed.append({})
+        self._packed[parent].setdefault(slot.packed_base | pivot, left << 32 | right)
         return parent
 
     # -- reads -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from cfpq.grammar import Grammar, parse_grammar
 from cfpq.graph import Graph, complete_graph, load_tsv
 from cfpq.oracle import hellings_pairs, hellings_slice
 from cfpq.results import reachable_pairs
-from cfpq.sppf import DUMMY, export_json
+from cfpq.sppf import DUMMY, Sppf, export_json
 from conftest import (
     M_TSV,
     blind_table,
@@ -32,29 +32,66 @@ def two_call_sites_engine():
     return QueryEngine(linear_graph("ab"), grammar, start_vertices={0}), grammar
 
 
+def descriptor_count(eng):
+    # the count EngineStats.descriptors reads
+    return sum(map(len, eng._seen.values()))
+
+
+def unpredicted_stack(eng):
+    # Middle -> a b is not predicted at vertex 3, which has only a b out-edge
+    return eng._call("Middle", 3)
+
+
 class TestAdd:
     def test_fresh_descriptor_enters_both_sets(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        seen, pending = len(eng._seen), len(eng._pending)
-        start = eng._call("S", 0)
-        eng.add(g1.slot(2, 0), start, 0, DUMMY)
-        assert (len(eng._seen), len(eng._pending)) == (seen + 1, pending + 1)
+        seen, pending = descriptor_count(eng), len(eng._pending)
+        middle = unpredicted_stack(eng)
+        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
+        assert (descriptor_count(eng), len(eng._pending)) == (seen + 1, pending + 1)
 
     def test_duplicate_descriptor_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        start = eng._call("S", 0)
-        eng.add(g1.slot(2, 0), start, 0, DUMMY)
-        seen, pending = len(eng._seen), len(eng._pending)
-        eng.add(g1.slot(2, 0), start, 0, DUMMY)
-        assert (len(eng._seen), len(eng._pending)) == (seen, pending)
+        middle = unpredicted_stack(eng)
+        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
+        seen, pending = descriptor_count(eng), len(eng._pending)
+        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
+        assert (descriptor_count(eng), len(eng._pending)) == (seen, pending)
 
     def test_descriptors_differing_only_in_vertex_are_kept(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
+        middle = unpredicted_stack(eng)
+        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
+        seen = descriptor_count(eng)
+        eng.add(g1.slot(2, 0), middle, 1, DUMMY)
+        assert descriptor_count(eng) == seen + 1
+
+    def test_stack_of_another_nonterminal_is_rejected(self, graph_m, g1):
+        eng = fresh_engine(graph_m, g1)
+        with pytest.raises(AssertionError):  # Middle -> . a b on the stack of S
+            eng.add(g1.slot(2, 0), eng._call("S", 0), 0, DUMMY)
+
+    def test_second_add_of_one_slot_and_forest_node_is_ignored(self):
+        eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
-        eng.add(g1.slot(2, 0), start, 0, DUMMY)
-        seen = len(eng._seen)
-        eng.add(g1.slot(2, 0), start, 1, DUMMY)
-        assert len(eng._seen) == seen + 1
+        completed = eng.sppf.get_node_p(
+            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
+        )
+        eng.add(grammar.slot(0, 1), start, 1, completed)  # S -> A . b holds A on (0, 1)
+        seen, pending = descriptor_count(eng), len(eng._pending)
+        eng.add(grammar.slot(0, 1), start, 1, completed)
+        assert (descriptor_count(eng), len(eng._pending)) == (seen, pending)
+
+    def test_one_forest_node_under_another_slot_is_kept(self):
+        eng, grammar = two_call_sites_engine()
+        start = eng._call("S", 0)
+        completed = eng.sppf.get_node_p(
+            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
+        )
+        eng.add(grammar.slot(0, 1), start, 1, completed)
+        seen = descriptor_count(eng)
+        eng.add(grammar.slot(1, 1), start, 1, completed)  # S -> A . c holds the same A
+        assert descriptor_count(eng) == seen + 1
 
 
 class TestPop:
@@ -67,8 +104,11 @@ class TestPop:
             g1.slot(2, 2),
             eng.sppf.terminal_node(0, "a", 1),
             eng.sppf.terminal_node(1, "b", 3),
+            0,
+            1,
+            3,
         )
-        completed = eng.sppf.get_node_p(g1.slot(1, 1), DUMMY, middle)  # S spanning (0, 3)
+        completed = eng.sppf.get_node_p(g1.slot(1, 1), DUMMY, middle, 0, 0, 3)  # S on (0, 3)
         eng.pop(start, 3, completed)
         assert len(eng._pending) == pending
         assert list(start.pops) == [completed]
@@ -91,7 +131,9 @@ class TestPop:
         assert (node.nonterminal, node.index) == ("A", 0) and len(node.edges) == 2
         pending = len(eng._pending)
         # a completed A spanning (0, 1) resumes both return slots
-        completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))
+        completed = eng.sppf.get_node_p(
+            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
+        )
         eng.pop(node, 1, completed)
         assert len(eng._pending) == pending + 2
 
@@ -99,7 +141,9 @@ class TestPop:
         eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
         node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
-        completed = eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1))
+        completed = eng.sppf.get_node_p(
+            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
+        )
         eng.pop(node, 1, completed)
         pending = len(eng._pending)
         returned = eng.create(grammar.slot(1, 1), start, 0, DUMMY)
@@ -355,6 +399,28 @@ def test_descriptor_extension_invariant_holds(graph_m, g1):
             continue
         left, right = sppf_key[-2], sppf_key[-1]
         assert left == stack_key[1] and right == vertex
+
+
+@pytest.mark.parametrize(
+    "n, packed, descriptors", [(4, 180, 88), (6, 618, 192), (8, 1_480, 336)]
+)
+def test_one_get_node_p_call_per_combine(g0, n, packed, descriptors, monkeypatch):
+    # perfbench counts combines by wrapping this method: a combine inlined
+    # into the engine would drop out of sppf.get_node_p_calls and packed_yield
+    calls = [0]
+    get_node_p = Sppf.get_node_p
+
+    def counted(sppf, *args):
+        calls[0] += 1
+        return get_node_p(sppf, *args)
+
+    monkeypatch.setattr(Sppf, "get_node_p", counted)
+    result = run_query(complete_graph(n, "ab"), g0)
+    assert (calls[0], result.sppf.stats().packed, result.engine.descriptors) == (
+        3 * n**3,
+        packed,
+        descriptors,
+    )
 
 
 def test_dispatch_counts(graph_m, g1):

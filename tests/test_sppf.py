@@ -61,7 +61,25 @@ def test_pass_through_returns_right_unchanged(g1):
     sp = Sppf(g1)
     right = sp.terminal_node(0, "a", 1)
     # dot just after the leading terminal of S -> a S b, more symbols pending
-    assert sp.get_node_p(g1.slot(0, 1), DUMMY, right) is right
+    assert sp.get_node_p(g1.slot(0, 1), DUMMY, right, 0, 0, 1) is right
+    assert sp.stats().nonterminal == 0
+
+
+@pytest.mark.parametrize(
+    "left, start, pivot, end",
+    [
+        ((0, "a", 1), 0, 0, 3),  # pivot is not where the left child ends
+        ((0, "a", 1), 1, 1, 3),  # start is not where the left child starts
+        ((0, "a", 1), 0, 1, 2),  # end is not where the right child ends
+        (None, 0, 1, 3),  # no left child, yet start differs from the pivot
+    ],
+)
+def test_new_parent_checks_the_extents_against_its_children(g1, left, start, pivot, end):
+    sp = Sppf(g1)
+    left = DUMMY if left is None else sp.terminal_node(*left)
+    right = sp.terminal_node(1, "b", 3)
+    with pytest.raises(AssertionError):
+        sp.get_node_p(g1.slot(2, 2), left, right, start, pivot, end)  # Middle -> a b .
     assert sp.stats().nonterminal == 0
 
 
@@ -75,7 +93,7 @@ def test_completed_production_builds_nonterminal_node(g1, graph_m):
     )
     t03 = sp.terminal_node(0, "b", 3)
     before = sp.stats()
-    parent = sp.node(sp.get_node_p(g1.slot(0, 3), intermediate.id, t03))
+    parent = sp.node(sp.get_node_p(g1.slot(0, 3), intermediate.id, t03, 0, 0, 3))
     assert parent == sp.nonterminal_node("S", 0, 3)
     assert len(parent.children) == 1
     assert sp.stats() == before  # repeated combination is a no-op
