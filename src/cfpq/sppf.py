@@ -30,8 +30,10 @@ epsilon, nonterminal, intermediate, then by the rest of the key); packed
 nodes follow in parent order, and in (production, pivot) order under one
 parent.  Edges are sorted by (source id, target id), so a packed node's
 children are not listed left first: the left child is the one whose
-``right`` is the other's ``left``.  Records and edges are written as text
-through per-format templates, a non-packed record through one template per
+``right`` is the other's ``left``.  Records and edges are written as text.
+Each export number is formatted once, into a table of decimal texts, and
+edges are written per parent by joining texts from that table, with no
+``%`` per edge; a non-packed record goes through one ``%`` template per
 distinct kind, label and ambiguity in an export, so only labels go through
 ``json.dumps``, once per distinct label per export.  The bytes of
 :func:`export_json` equal one ``json.dumps`` of the whole ``{"nodes":
@@ -263,49 +265,63 @@ def _reachable(sppf: Sppf, roots: Iterable[int]) -> set[int]:
 
 
 def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: str, sep: str):
-    """Number the exported nodes (see the module docstring): the non-packed
-    store ids in export order and the key of each exported packed node after
-    them.  Their edges come out already sorted, as text: ``edge`` (a ``%d``
-    each for source and target) per edge, joined by ``sep``.  Parents come in
-    id order, every packed id is larger than every non-packed id, and
-    repeated edges are kept."""
+    """Number the exported nodes (see the module docstring).  Returns the
+    non-packed store ids in export order, the key of each exported packed
+    node after them, ``numerals`` (each export number formatted once, as
+    decimal text) and the edges, already sorted, as text chunks: joined,
+    they are ``edge`` (a ``%d`` each for source and target) per edge,
+    separated by ``sep``.  Edges are written per parent from the numerals,
+    with no ``%``: one chunk for a parent's edges to its packed nodes, one
+    for its packed nodes' edges to their children.  Parents come in id
+    order, every packed id is larger than every non-packed id, and repeated
+    edges are kept."""
     keys, packed_of = sppf._keys, sppf._packed
     pool = range(len(keys)) if roots is None else _reachable(sppf, (r.id for r in roots))
     pool = sorted(pool, key=keys.__getitem__)
     number = [DUMMY] * (len(keys) + 1)  # by store id; the last slot is number[DUMMY]
     for n, nid in enumerate(pool):
         number[nid] = n
-    two = sep.join((edge, edge))
+    sizes = [len(packed_of[nid] or ()) for nid in pool]
+    # simplify gives a lone packed node no number
+    numerals = list(map(str, range(len(pool) + sum(sizes) - simplify * sizes.count(1))))
+    # each edge is written after a separator; the first one loses it
+    lead, mid, close = (sep + edge).split("%d")
     packed: list[int] = []
     chunks, packed_chunks = [], []  # edges out of non-packed nodes, out of packed nodes
     next_packed = len(pool)
-    for parent, nid in enumerate(pool):
-        alternatives = packed_of[nid]
-        if not alternatives:
+    for parent, size in enumerate(sizes):
+        if not size:
             continue
-        lone = len(alternatives) == 1
-        order = alternatives if lone else sorted(alternatives)  # a dict iterates its keys
-        if simplify and lone:  # the parent takes the packed node's children
+        alternatives = packed_of[pool[parent]]
+        order = alternatives if size == 1 else sorted(alternatives)  # a dict iterates its keys
+        if simplify and size == 1:  # the parent takes the packed node's children
             source, out = parent, chunks
         else:
             source, out = next_packed, packed_chunks
-            next_packed += len(order)
+            next_packed += size
             packed += order
-            if lone:
-                chunks.append(edge % (parent, source))
-            else:
-                chunks.append(sep.join([edge % (parent, p) for p in range(source, next_packed)]))
+            head = f"{lead}{numerals[parent]}{mid}"
+            ids = numerals[source:next_packed]
+            chunks.append(f"{head}{ids[0] if size == 1 else (close + head).join(ids)}{close}")
+        texts = []
         for value in map(alternatives.__getitem__, order):
+            numeral = numerals[source]
+            source += 1  # the next packed id; a lone alternative has no next
             left, right = number[value >> 32], number[value & _LOW]
             if left < 0:
-                out.append(edge % (source, right))
-            elif left < right:
-                out.append(two % (source, left, source, right))
+                texts.append(f"{lead}{numeral}{mid}{numerals[right]}{close}")
             else:
-                out.append(two % (source, right, source, left))
-            source += 1  # the next packed id; a lone alternative has no next
+                if right < left:
+                    left, right = right, left
+                texts.append(
+                    f"{lead}{numeral}{mid}{numerals[left]}{close}"
+                    f"{lead}{numeral}{mid}{numerals[right]}{close}"
+                )
+        out.append("".join(texts))
     chunks += packed_chunks
-    return pool, packed, sep.join(chunks)
+    if chunks:
+        chunks[0] = chunks[0][len(sep) :]
+    return pool, packed, numerals, chunks
 
 
 def _node_records(
@@ -343,18 +359,17 @@ def export_json(
     """Serialize the forest (root-reachable part, or everything) as compact,
     single-line JSON.  Only labels, which may need escaping, go through
     ``json.dumps``: once per distinct label per export."""
-    pool, packed, edges = _layout(sppf, roots, simplify, "[%d, %d]", ", ")
-    nodes = [", ".join(_node_records(sppf, pool, _json_template))] if pool else []
-    if packed:
-        first = len(pool)
-        if verbose:
-            record = '{"id": %d, "kind": "packed", "production": %d, "pivot": %d}'
-            records = [record % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, first)]
-            nodes.append(", ".join(records))
-        else:
-            ids = ', "kind": "packed"}, {"id": '.join(map(str, range(first, first + len(packed))))
-            nodes.append(f'{{"id": {ids}, "kind": "packed"}}')
-    return '{"nodes": [%s], "edges": [%s]}' % (", ".join(nodes), edges)
+    pool, packed, numerals, edges = _layout(sppf, roots, simplify, "[%d, %d]", ", ")
+    parts = ['{"nodes": [', ", ".join(_node_records(sppf, pool, _json_template))]
+    if verbose:
+        record = ', {"id": %d, "kind": "packed", "production": %d, "pivot": %d}'
+        parts += [record % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, len(pool))]
+    elif packed:
+        ids = ', "kind": "packed"}, {"id": '.join(numerals[len(pool) :])
+        parts += (', {"id": ', ids, ', "kind": "packed"}')
+    del numerals, packed  # about the size of the text: free them before the join
+    parts += ('], "edges": [', *edges, "]}")
+    return "".join(parts)
 
 
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
@@ -376,14 +391,13 @@ def export_dot(
     """Render the forest in DOT: boxes for terminal, epsilon and intermediate
     nodes, ovals for nonterminals, points for packed nodes.  A nonterminal or
     intermediate node with two or more packed nodes is filled."""
-    pool, packed, edges = _layout(sppf, roots, simplify, "  n%d -> n%d;", "\n")
-    lines = ["digraph sppf {", *_node_records(sppf, pool, _dot_template)]
+    pool, packed, numerals, edges = _layout(sppf, roots, simplify, "  n%d -> n%d;", "\n")
+    parts = ["\n".join(["digraph sppf {", *_node_records(sppf, pool, _dot_template)])]
     if verbose:
-        point = '  n%d [shape=point, xlabel="(%d, %d)"];'
-        lines += [point % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, len(pool))]
-    else:
-        lines += ["  n%d [shape=point];" % n for n in range(len(pool), len(pool) + len(packed))]
-    if edges:
-        lines.append(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        point = '\n  n%d [shape=point, xlabel="(%d, %d)"];'
+        parts += [point % (n, k >> 32, k & _LOW) for n, k in enumerate(packed, len(pool))]
+    elif packed:
+        parts += ("\n  n", " [shape=point];\n  n".join(numerals[len(pool) :]), " [shape=point];")
+    del numerals, packed  # about the size of the text: free them before the join
+    parts += ("\n", *edges, "\n}\n" if edges else "}\n")
+    return "".join(parts)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -373,8 +374,8 @@ def test_export_structure_on_random_graphs():
                         assert export_stats(text) == result.sppf.stats()
 
 
-def _assert_matches_reference(result):
-    for roots in (None, result.roots, ()):
+def _assert_matches_reference(result, root_sets=None):
+    for roots in (None, result.roots, ()) if root_sets is None else root_sets:
         for simplify in (False, True):
             layout = reference_layout(result.sppf, roots, simplify)
             for verbose in (False, True):
@@ -421,3 +422,28 @@ def test_export_equals_reference_encoder_on_a_q1_ontology_forest():
     parents = [len(packed) for packed in result.sppf._packed if packed]
     assert parents.count(1) > len(parents) / 2  # most parents have one packed node
     _assert_matches_reference(result)
+
+
+@pytest.fixture(scope="module")
+def k16_forest(g0):
+    """g0 over K16: 13,312 forest nodes, so export ids reach five digits."""
+    return run_checked(complete_graph(16, "ab"), g0)
+
+
+def test_export_equals_reference_encoder_past_four_digit_ids(k16_forest):
+    # the pinned forests stay below ~1,000 ids, where a slip in the export's
+    # number texts past them would not show; the accepted roots keep this fast
+    assert '{"id": 10000, ' in export_json(k16_forest.sppf, k16_forest.roots)
+    _assert_matches_reference(k16_forest, root_sets=[k16_forest.roots])
+
+
+def test_export_memory_peak_is_bounded(k16_forest):
+    """One export's traced allocation peak stays within 2.75 times its text."""
+    sppf, roots = k16_forest.sppf, k16_forest.roots
+    tracemalloc.start()
+    try:
+        text = export_json(sppf, roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(text), peak / len(text)
