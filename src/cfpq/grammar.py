@@ -105,6 +105,8 @@ class Grammar:
         self.nullable: frozenset[str] = compute_nullable(self)
         self.first: dict[str, frozenset[str]] = compute_first(self)
         self._build_slots()
+        # the forest export's record texts, by template, then ambiguity, then key head
+        self._export_templates: dict = {}
 
     def _build_slots(self) -> None:
         slots: list[GrammarSlot] = []

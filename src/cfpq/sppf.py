@@ -11,14 +11,14 @@ The store has three parts:
   left, right)`` for an intermediate node, so its last two fields are the
   extension and the keys sort in export order.  A parent's key less its
   extension is ``GrammarSlot.node_prefix`` of the slot that builds it;
-* ``_packed`` holds, for a nonterminal or intermediate parent, one int
-  entry per packed node, ``{production << 32 | pivot: left << 32 | right}``
-  (``GrammarSlot.packed_base`` is ``production << 32``), and None for a
-  leaf.  Keys sort as ``(production, pivot)`` pairs do; a DUMMY left child
-  makes the value negative, which ``>> 32`` and ``& 0xFFFFFFFF`` still
-  decode.  Vertices and ids must stay below 2**32: the engine rejects larger
-  graphs, and each id holds a key tuple in memory.  Two or more packed nodes
-  mark an ambiguity.
+* ``_packed`` holds a node's packed nodes, each one int pair ``(production
+  << 32 | pivot, left << 32 | right)`` (``GrammarSlot.packed_base`` is
+  ``production << 32``): ``()`` for a leaf, the pair itself for a parent
+  with one, and a dict of the pairs once a second, different one (an
+  ambiguity) arrives.  Keys sort as ``(production, pivot)`` pairs do; a
+  DUMMY left child makes the value negative, which ``>> 32`` and ``&
+  0xFFFFFFFF`` still decode.  Vertices and ids must stay below 2**32: the
+  engine rejects larger graphs, and each id holds a key tuple in memory.
 
 ``DUMMY = -1`` is the absent left child, and in the engine the empty forest
 before anything matched.  The key layout stays inside this module and those
@@ -32,12 +32,12 @@ parent.  Edges are sorted by (source id, target id), so a packed node's
 children are not listed left first: the left child is the one whose
 ``right`` is the other's ``left``.  Records and edges are written as text.
 Each export number is formatted once, into a table of decimal texts, and
-edges are written per parent by joining texts from that table, with no
-``%`` per edge; a non-packed record goes through one ``%`` template per
-distinct kind, label and ambiguity in an export, so only labels go through
-``json.dumps``, once per distinct label per export.  The bytes of
-:func:`export_json` equal one ``json.dumps`` of the whole ``{"nodes":
-[...], "edges": [...]}`` object.
+edges are written per parent from that table, with no ``%`` per edge; a
+non-packed record joins its numbers to the four texts made once per
+distinct kind, label and ambiguity, which its grammar keeps for later
+exports, so only labels go through ``json.dumps``, once per distinct label
+and grammar.  The bytes of :func:`export_json` equal one ``json.dumps`` of
+the whole ``{"nodes": [...], "edges": [...]}`` object.
 """
 
 from __future__ import annotations
@@ -103,17 +103,19 @@ class SppfNode:
 
     @property
     def ambiguous(self) -> bool:
-        return not self.alternative and len(self.sppf._packed[self.id] or ()) >= 2
+        return not self.alternative and type(self.sppf._packed[self.id]) is dict
 
     @property
     def children(self) -> tuple[SppfNode, ...]:
         """A parent's packed nodes in (production, pivot) order; a packed
         node's left child (when it has one) and right child; none for a leaf."""
         sppf, packed = self.sppf, self.sppf._packed[self.id]
+        lone = type(packed) is tuple
         if self.alternative:
-            value = packed[self.alternative[0] << 32 | self.alternative[1]]
+            value = packed[1] if lone else packed[self.alternative[0] << 32 | self.alternative[1]]
             return tuple(SppfNode(sppf, c) for c in (value >> 32, value & _LOW) if c != DUMMY)
-        return tuple(SppfNode(sppf, self.id, (k >> 32, k & _LOW)) for k in sorted(packed or ()))
+        keys = packed[:1] if lone else sorted(packed)
+        return tuple(SppfNode(sppf, self.id, (k >> 32, k & _LOW)) for k in keys)
 
     def __repr__(self) -> str:
         if self.alternative:
@@ -152,7 +154,7 @@ class Sppf:
         self.grammar = grammar
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
-        self._packed: list[dict[int, int] | None] = []
+        self._packed: list[tuple[()] | tuple[int, int] | dict[int, int]] = []
 
     # -- node construction ---------------------------------------------------
 
@@ -161,7 +163,7 @@ class Sppf:
         if nid is None:
             nid = self._ids[key] = len(self._keys)
             self._keys.append(key)
-            self._packed.append(None)
+            self._packed.append(())
         return nid
 
     def terminal_node(self, source: int, label: str, target: int) -> int:
@@ -185,14 +187,18 @@ class Sppf:
             return right
         key = slot.node_prefix + (start, end)
         parent = self._ids.get(key)
+        alternative = slot.packed_base | pivot
         if parent is None:
             assert self._keys[right][-2:] == (pivot, end) and (
                 start == pivot if left == DUMMY else self._keys[left][-2:] == (start, pivot)
             ), f"extents ({start}, {pivot}, {end}) contradict children {left}, {right}"
             parent = self._ids[key] = len(self._keys)
             self._keys.append(key)
-            self._packed.append({})
-        self._packed[parent].setdefault(slot.packed_base | pivot, left << 32 | right)
+            self._packed.append((alternative, left << 32 | right))
+        elif type(packed := self._packed[parent]) is dict:
+            packed.setdefault(alternative, left << 32 | right)
+        elif packed[0] != alternative:  # a second packed node: the parent turns ambiguous
+            self._packed[parent] = {packed[0]: packed[1], alternative: left << 32 | right}
         return parent
 
     # -- reads -----------------------------------------------------------------
@@ -213,7 +219,9 @@ class Sppf:
         """The ``(left id or DUMMY, right id)`` children of each packed node
         under a parent; none for a leaf."""
         packed = self._packed[nid]
-        return [(value >> 32, value & _LOW) for value in packed.values()] if packed else []
+        if type(packed) is tuple:  # a leaf or one packed node: no dict to read
+            return [(packed[1] >> 32, packed[1] & _LOW)] if packed else []
+        return [(value >> 32, value & _LOW) for value in packed.values()]
 
     def nonterminal_node(self, label: str, left: int, right: int) -> SppfNode | None:
         nid = self._ids.get((2, label, left, right))
@@ -233,11 +241,12 @@ class Sppf:
 
     def stats(self) -> SppfStats:
         ranks = [key[0] for key in self._keys]
-        parents = [p for p in self._packed if p]
-        packed = sum(map(len, parents))
+        lone = [p[1] for p in self._packed if type(p) is tuple and p]  # the lone pairs' values
+        shared = [p for p in self._packed if type(p) is dict]
+        packed = len(lone) + sum(map(len, shared))
         counts = (*(ranks.count(rank) for rank in range(len(_KINDS))), packed)
         # parent -> packed, packed -> right, packed -> left unless DUMMY (value < 0)
-        negative = map((0).__gt__, chain.from_iterable(p.values() for p in parents))
+        negative = map((0).__gt__, chain(lone, chain.from_iterable(map(dict.values, shared))))
         edges = 3 * packed - countOf(negative, True)
         return SppfStats(*counts, nodes=sum(counts), edges=edges)
 
@@ -252,7 +261,8 @@ def _reachable(sppf: Sppf, roots: Iterable[int]) -> set[int]:
     stack = list(seen)
     seen.add(DUMMY)  # so that an absent left child is never followed
     while stack:
-        for value in (packed[stack.pop()] or {}).values():
+        entry = packed[stack.pop()]
+        for value in entry[1:] if type(entry) is tuple else entry.values():
             right, left = value & _LOW, value >> 32
             if right not in seen:
                 seen.add(right)
@@ -281,32 +291,44 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: 
     number = [DUMMY] * (len(keys) + 1)  # by store id; the last slot is number[DUMMY]
     for n, nid in enumerate(pool):
         number[nid] = n
-    sizes = [len(packed_of[nid] or ()) for nid in pool]
+    entries = list(map(packed_of.__getitem__, pool))
+    shared = [entry for entry in entries if type(entry) is dict]
+    lone = len(entries) - len(shared) - entries.count(())
     # simplify gives a lone packed node no number
-    numerals = list(map(str, range(len(pool) + sum(sizes) - simplify * sizes.count(1))))
+    numerals = list(map(str, range(len(pool) + sum(map(len, shared)) + (not simplify) * lone)))
     # each edge is written after a separator; the first one loses it
     lead, mid, close = (sep + edge).split("%d")
     packed: list[int] = []
     chunks, packed_chunks = [], []  # edges out of non-packed nodes, out of packed nodes
     next_packed = len(pool)
-    for parent, size in enumerate(sizes):
-        if not size:
+    for parent, alternatives in enumerate(entries):
+        if type(alternatives) is tuple:  # a leaf, or one packed node: no list or join
+            if not alternatives:
+                continue
+            key, value = alternatives
+            if simplify:  # the parent takes the packed node's children
+                numeral, out = numerals[parent], chunks
+            else:
+                numeral, out = numerals[next_packed], packed_chunks
+                next_packed += 1
+                packed.append(key)
+                chunks.append(f"{lead}{numerals[parent]}{mid}{numeral}{close}")
+            left, right = number[value >> 32], number[value & _LOW]
+            if right < left:  # never for a DUMMY left child
+                left, right = right, left
+            text = f"{lead}{numeral}{mid}{numerals[right]}{close}"
+            out.append(text if left < 0 else f"{lead}{numeral}{mid}{numerals[left]}{close}{text}")
             continue
-        alternatives = packed_of[pool[parent]]
-        order = alternatives if size == 1 else sorted(alternatives)  # a dict iterates its keys
-        if simplify and size == 1:  # the parent takes the packed node's children
-            source, out = parent, chunks
-        else:
-            source, out = next_packed, packed_chunks
-            next_packed += size
-            packed += order
-            head = f"{lead}{numerals[parent]}{mid}"
-            ids = numerals[source:next_packed]
-            chunks.append(f"{head}{ids[0] if size == 1 else (close + head).join(ids)}{close}")
+        order = sorted(alternatives)
+        source = next_packed
+        next_packed += len(order)
+        packed += order
+        head = f"{lead}{numerals[parent]}{mid}"
+        chunks.append(f"{head}{(close + head).join(numerals[source:next_packed])}{close}")
         texts = []
         for value in map(alternatives.__getitem__, order):
             numeral = numerals[source]
-            source += 1  # the next packed id; a lone alternative has no next
+            source += 1
             left, right = number[value >> 32], number[value & _LOW]
             if left < 0:
                 texts.append(f"{lead}{numeral}{mid}{numerals[right]}{close}")
@@ -317,7 +339,7 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: 
                     f"{lead}{numeral}{mid}{numerals[left]}{close}"
                     f"{lead}{numeral}{mid}{numerals[right]}{close}"
                 )
-        out.append("".join(texts))
+        packed_chunks.append("".join(texts))
     chunks += packed_chunks
     if chunks:
         chunks[0] = chunks[0][len(sep) :]
@@ -325,28 +347,28 @@ def _layout(sppf: Sppf, roots: Iterable[SppfNode] | None, simplify: bool, edge: 
 
 
 def _node_records(
-    sppf: Sppf, pool: list[int], template: Callable[[Sppf, tuple, bool], str]
+    sppf: Sppf, pool: list[int], template: Callable[[Sppf, tuple, bool], tuple[str, ...]]
 ) -> list[str]:
     """One text record per exported non-packed node, from one ``template(sppf,
-    key, ambiguous)`` text per distinct kind, label (the key less its
-    extension) and ambiguity, with a ``%d`` each for the number, left and right."""
+    key, ambiguous)`` per distinct kind, label (the key less its extension)
+    and ambiguity: the four texts around the number, left and right."""
     keys, packed_of = sppf._keys, sppf._packed
-    templates: tuple[dict, dict] = ({}, {})  # by ambiguity, then by key head
+    templates = sppf.grammar._export_templates.setdefault(template, ({}, {}))
     records = []
     for number, nid in enumerate(pool):
         key = keys[nid]
-        ambiguous = len(packed_of[nid] or ()) >= 2
+        ambiguous = type(packed_of[nid]) is dict
         text = templates[ambiguous].get(key[:-2])
         if text is None:
             text = templates[ambiguous][key[:-2]] = template(sppf, key, ambiguous)
-        records.append(text % (number, key[-2], key[-1]))
+        records.append(f"{text[0]}{number}{text[1]}{key[-2]}{text[2]}{key[-1]}{text[3]}")
     return records
 
 
-def _json_template(sppf: Sppf, key: tuple, ambiguous: bool) -> str:
-    label = "" if key[0] == 1 else ', "label": ' + json.dumps(_label(sppf, key)).replace("%", "%%")
+def _json_template(sppf: Sppf, key: tuple, ambiguous: bool) -> tuple[str, ...]:
+    label = "" if key[0] == 1 else ', "label": ' + json.dumps(_label(sppf, key))
     flag = ', "ambiguous": true' if ambiguous else ""
-    return f'{{"id": %d, "kind": "{_KINDS[key[0]]}", "left": %d, "right": %d{label}{flag}}}'
+    return '{"id": ', f', "kind": "{_KINDS[key[0]]}", "left": ', ', "right": ', f"{label}{flag}}}"
 
 
 def export_json(
@@ -358,7 +380,7 @@ def export_json(
 ) -> str:
     """Serialize the forest (root-reachable part, or everything) as compact,
     single-line JSON.  Only labels, which may need escaping, go through
-    ``json.dumps``: once per distinct label per export."""
+    ``json.dumps``: once per distinct label and grammar."""
     pool, packed, numerals, edges = _layout(sppf, roots, simplify, "[%d, %d]", ", ")
     parts = ['{"nodes": [', ", ".join(_node_records(sppf, pool, _json_template))]
     if verbose:
@@ -375,10 +397,10 @@ def export_json(
 _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonterminal, intermediate
 
 
-def _dot_template(sppf: Sppf, key: tuple, ambiguous: bool) -> str:
-    label = _label(sppf, key).replace('"', '\\"').replace("%", "%%")
+def _dot_template(sppf: Sppf, key: tuple, ambiguous: bool) -> tuple[str, ...]:
+    label = _label(sppf, key).replace('"', '\\"')
     style = ", style=filled" if ambiguous else ""
-    return f'  n%d [shape={_DOT_SHAPES[key[0]]}, label="(%d, {label}, %d)"{style}];'
+    return "  n", f' [shape={_DOT_SHAPES[key[0]]}, label="(', f", {label}, ", f')"{style}];'
 
 
 def export_dot(

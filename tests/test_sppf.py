@@ -6,12 +6,14 @@ import json
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+from cfpq import sppf as sppf_module
 from cfpq.cli import load_builtin_grammar
 from cfpq.engine import run_query
-from cfpq.grammar import parse_grammar
+from cfpq.grammar import Grammar, parse_grammar
 from cfpq.graph import complete_graph, load_ntriples, load_tsv
 from cfpq.sppf import DUMMY, Sppf, SppfStats, export_dot, export_json
 from conftest import (
@@ -144,10 +146,11 @@ def test_alternatives_are_the_packed_childrens_ids(g0, g1, graph):
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's GC objects")
 def test_packed_nodes_are_not_gc_tracked(g0):
-    """A packed node is one int entry in its parent's dict, so a query makes
-    fewer objects for the cyclic collector to track than packed nodes; what
-    it does track (stack, descriptor and parent-key tuples) grows like
-    |V|**2, not like |V|**3."""
+    """A packed node is one int pair, inline in its parent or an entry of its
+    parent's dict, so a query makes fewer objects for the cyclic collector to
+    track than packed nodes; what it does track (stack, descriptor and
+    parent-key tuples, and one inline pair per one-alternative parent) grows
+    like |V|**2, not like |V|**3."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -162,6 +165,54 @@ def test_packed_nodes_are_not_gc_tracked(g0):
 
 def test_empty_stats(g1):
     assert Sppf(g1).stats() == SppfStats(0, 0, 0, 0, 0, nodes=0, edges=0)
+
+
+def test_second_alternative_makes_the_parent_ambiguous():
+    # over 0 -a-> 1 -a-> 2, S(0, 2) is S a and a S; the larger key arrives first
+    grammar = parse_grammar("S -> a S\nS -> S a\nS -> a")
+    sp = Sppf(grammar)
+    t01, t12 = sp.terminal_node(0, "a", 1), sp.terminal_node(1, "a", 2)
+    s01 = sp.get_node_p(grammar.slot(2, 1), DUMMY, t01, 0, 0, 1)
+    s12 = sp.get_node_p(grammar.slot(2, 1), DUMMY, t12, 1, 1, 2)
+    s02 = sp.get_node_p(grammar.slot(1, 2), s01, t12, 0, 1, 2)
+    assert not sp.node(s02).ambiguous and sp.alternatives(s02) == [(s01, t12)]
+    assert sp.get_node_p(grammar.slot(0, 2), t01, s12, 0, 1, 2) == s02
+    root = sp.node(s02)
+    assert root.ambiguous and not sp.node(s01).ambiguous
+    assert [(p.production, p.pivot) for p in root.children] == [(0, 1), (1, 1)]
+    assert [[c.id for c in p.children] for p in root.children] == [[t01, s12], [s01, t12]]
+    assert sorted(sp.alternatives(s02)) == sorted([(t01, s12), (s01, t12)])
+    before = sp.stats()
+    assert (before.packed, before.edges) == (4, 10)
+    for slot, left, right in ((grammar.slot(0, 2), t01, s12), (grammar.slot(1, 2), s01, t12)):
+        assert sp.get_node_p(slot, left, right, 0, 1, 2) == s02
+    assert sp.stats() == before  # repeated combinations are no-ops
+    _assert_matches_reference(SimpleNamespace(sppf=sp), [None, [root], ()])
+    engine_root = run_checked(linear_graph("aa"), grammar).sppf.nonterminal_node("S", 0, 2)
+    assert [(p.production, p.pivot) for p in engine_root.children] == [(0, 1), (1, 1)]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython's allocations")
+def test_store_memory_per_node_is_bounded():
+    """The q1 forest of the synthetic ontology, where most parents have one
+    packed node, takes at most 128 traced bytes per forest node (about 120
+    on CPython 3.11-3.13 and 114 on 3.10; a dict per parent takes 135-147)."""
+    graph, grammar = load_ntriples(SYNTHETIC_ONTOLOGY), load_builtin_grammar("q1")
+    # CPython reuses freed tuples and dicts without calling the allocator, so
+    # tracemalloc would miss store objects made from them: hold enough first
+    # (the store's tuples have 2 to 5 items)
+    held = [(i,) * n for n in range(2, 6) for i in range(2500)], [{i: i} for i in range(100)]
+    tracemalloc.start()
+    try:
+        forests = [run_query(graph, grammar).sppf for _ in range(10)]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del held
+    store = snapshot.filter_traces([tracemalloc.Filter(True, sppf_module.__file__)])
+    size = sum(stat.size for stat in store.statistics("filename"))
+    per_node = size / sum(forest.stats().nodes for forest in forests)
+    assert per_node <= 128, per_node
 
 
 def test_terminal_count_bounded_by_edges(g1, graph_m):
@@ -406,7 +457,7 @@ def test_export_equals_reference_encoder_with_escaped_labels():
 
 
 def test_export_equals_reference_encoder_with_percent_labels():
-    # labels reach the exports' %-templates as text, so a % in one must stay literal
+    # a % in a label must reach the export's records literally
     graph = load_tsv("x\t%d\ty\ny\t%%\tz\nz\t%s\tx\nx\t%s\tx\ny\t%d\tx")
     grammar = parse_grammar("S -> %d S %%\nS -> %s\nS -> S S\nS -> eps")
     result = run_checked(graph, grammar)
@@ -417,9 +468,25 @@ def test_export_equals_reference_encoder_with_percent_labels():
     _assert_matches_reference(result)
 
 
+def test_export_equals_reference_encoder_for_grammars_made_and_dropped_in_turn():
+    # the export keeps record texts per grammar: the intermediate node (3, 0, 2)
+    # reads "S -> a S . b" under the first grammar and "S -> a b . S" under the
+    # next; on CPython each grammar here takes the memory, so the id, of the
+    # one dropped before it
+    graph = complete_graph(3, "ab")
+    texts = ["S -> a S b\nS -> eps", "S -> a b S\nS -> eps", "S -> b a S\nS -> eps"] * 2
+    rules = [[(p.lhs, p.rhs) for p in parse_grammar(text).productions] for text in texts]
+    for text, grammar_rules in zip(texts, rules):
+        result = run_checked(graph, Grammar(grammar_rules))
+        assert '"label": "S -> ' + text[5:8] + " . " + text[9] in export_json(result.sppf)
+        _assert_matches_reference(result)
+        del result
+
+
 def test_export_equals_reference_encoder_on_a_q1_ontology_forest():
     result = run_checked(load_ntriples(SYNTHETIC_ONTOLOGY), load_builtin_grammar("q1"))
-    parents = [len(packed) for packed in result.sppf._packed if packed]
+    sppf = result.sppf
+    parents = [n for n in map(len, map(sppf.alternatives, range(len(sppf._keys)))) if n]
     assert parents.count(1) > len(parents) / 2  # most parents have one packed node
     _assert_matches_reference(result)
 
