@@ -19,11 +19,12 @@ Stack nodes are keyed by (nonterminal, vertex), one per call of a
 nonterminal at a vertex, and the caller's return slot sits on the stack
 edge (Afroozeh & Izmaylova, "Faster, Practical GLL Parsing", CC 2015).  So a
 callee's body runs once per call vertex, however many call sites reach it:
-its alternatives are predicted once, when its stack node is created.
-A start vertex seeds the ordinary node of the start symbol there, which an
-inner call of the start symbol at that vertex shares.  Every node of the
-start symbol that begins at a start vertex is popped at that shared node,
-so the accepted roots are read from its pops.
+its alternatives are predicted once, when its stack node is created, from
+the nonterminal's row of the :class:`~cfpq.grammar.ParseTable`, in grammar
+order.  A start vertex seeds the ordinary node of the start symbol there,
+which an inner call of the start symbol at that vertex shares.  Every node
+of the start symbol that begins at a start vertex is popped at that shared
+node, so the accepted roots are read from its pops.
 """
 
 from __future__ import annotations
@@ -128,16 +129,14 @@ class QueryEngine:
         return node
 
     def _predict(self, nonterminal: str, vertex: int) -> list[GrammarSlot]:
-        """Candidate initial slots: table cells of the outgoing edge labels,
-        plus the nullable alternatives unconditionally (sink vertices and
-        labels outside FIRST must still reach empty derivations)."""
-        slots = {
-            s
-            for label in self.graph.adjacency.get(vertex, ())
-            for s in self.table.cell(nonterminal, label)
-        }
-        slots.update(self.table.nullable_alternatives(nonterminal))
-        return sorted(slots, key=lambda s: s.key)
+        """The initial slots of the row's alternatives whose FIRST meets the
+        vertex's out-labels or that derive the empty word, in grammar order."""
+        labels = self.graph.adjacency.get(vertex, ())
+        return [
+            slot
+            for slot, first, empty in self.table.rows[nonterminal]
+            if empty or not first.isdisjoint(labels)
+        ]
 
     # -- the three stack primitives -------------------------------------------
 

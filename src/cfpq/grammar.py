@@ -99,9 +99,6 @@ class Grammar:
                 if sym not in self.nonterminals:
                     terminals.add(sym)
         self.terminals: frozenset[str] = frozenset(terminals)
-        self.alternatives: dict[str, tuple[Production, ...]] = {
-            a: tuple(p for p in productions if p.lhs == a) for a in self.nonterminals
-        }
         self.nullable: frozenset[str] = compute_nullable(self)
         self.first: dict[str, frozenset[str]] = compute_first(self)
         self._build_slots()
@@ -128,9 +125,6 @@ class Grammar:
                 slot.pass_through = prev in self.terminals or prev not in self.nullable
         self._slots: tuple[GrammarSlot, ...] = tuple(slots)
         self._slots_by_key = by_key
-        self.initial_slots: dict[str, tuple[GrammarSlot, ...]] = {
-            a: tuple(by_key[(p.index, 0)] for p in self.alternatives[a]) for a in self.nonterminals
-        }
 
     def slots(self) -> tuple[GrammarSlot, ...]:
         """All (production, dot) slots in stable order."""
@@ -148,28 +142,18 @@ class Grammar:
 
 
 class ParseTable:
-    """Prediction table: (nonterminal, next edge label) -> candidate initial slots.
+    """Prediction table: one row per nonterminal, one entry per alternative.
 
-    A cell holds the alternatives whose right-hand side has the label in its
-    FIRST set.  ``nullable_alternatives`` lists the initial slots of
-    empty-deriving productions; the engine always predicts them, whatever the
-    out-labels of the vertex, so that epsilon derivations survive at vertices
-    without matching out-edges.
+    ``rows[A]`` lists ``(initial slot, FIRST of the right-hand side, whether
+    it derives the empty word)`` for each alternative of ``A``, in grammar
+    order.  A call of ``A`` at a vertex predicts the alternatives whose FIRST
+    meets the vertex's out-labels, plus every empty-deriving one, whatever
+    the out-labels, so that empty derivations survive at vertices without
+    matching out-edges.
     """
 
-    def __init__(
-        self,
-        entries: Mapping[tuple[str, str], tuple[GrammarSlot, ...]],
-        nullable_alternatives: Mapping[str, tuple[GrammarSlot, ...]],
-    ):
-        self._entries = dict(entries)
-        self._nullable = dict(nullable_alternatives)
-
-    def cell(self, nonterminal: str, terminal: str) -> tuple[GrammarSlot, ...]:
-        return self._entries.get((nonterminal, terminal), ())
-
-    def nullable_alternatives(self, nonterminal: str) -> tuple[GrammarSlot, ...]:
-        return self._nullable.get(nonterminal, ())
+    def __init__(self, rows: Mapping[str, Iterable[tuple[GrammarSlot, frozenset[str], bool]]]):
+        self.rows = {a: tuple(row) for a, row in rows.items()}
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -253,19 +237,14 @@ def compute_first(grammar: Grammar) -> dict[str, frozenset[str]]:
 
 
 def build_parse_table(grammar: Grammar) -> ParseTable:
-    """Build the prediction table from FIRST.
+    """Build the prediction table from FIRST and the nullable set.
 
-    The table is an optimization, not a filter: a table whose every cell
-    held all alternatives would give the same query results.
+    The table is an optimization, not a filter: a table that predicted
+    every alternative everywhere would give the same query results.
     """
-    entries: dict[tuple[str, str], list[GrammarSlot]] = {}
-    nullable_alts: dict[str, tuple[GrammarSlot, ...]] = {}
-    for a in grammar.nonterminals:
-        alts = grammar.initial_slots[a]
-        nullable_alts[a] = tuple(
-            s for s in alts if all(sym in grammar.nullable for sym in s.production.rhs)
-        )
-        for s in alts:
-            for t in _first_of_sequence(s.production.rhs, grammar.first, grammar.nullable):
-                entries.setdefault((a, t), []).append(s)
-    return ParseTable({k: tuple(v) for k, v in entries.items()}, nullable_alts)
+    rows: dict[str, list[tuple[GrammarSlot, frozenset[str], bool]]] = {}
+    for p in grammar.productions:
+        first = _first_of_sequence(p.rhs, grammar.first, grammar.nullable)
+        empty = all(sym in grammar.nullable for sym in p.rhs)
+        rows.setdefault(p.lhs, []).append((grammar.slot(p.index, 0), frozenset(first), empty))
+    return ParseTable(rows)

@@ -22,6 +22,7 @@ or the number of matching paths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import TYPE_CHECKING, Iterator
@@ -42,6 +43,12 @@ class PathQueryLimits:
     max_length: int
 
     def __post_init__(self) -> None:
+        for name in ("max_paths", "max_length"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.max_paths < 1 or self.max_length < 1:
             raise ValueError("path limits must be at least 1")
 

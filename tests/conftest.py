@@ -63,11 +63,10 @@ def query_engine(graph, grammar, starts=None, finals=None, *, worklist="lifo", *
 
 
 def blind_table(grammar):
-    """A prediction table whose every cell holds all alternatives, so
-    lookahead prunes nothing."""
-    nonterminals, table = grammar.nonterminals, grammar.parse_table
-    entries = {(a, t): grammar.initial_slots[a] for a in nonterminals for t in grammar.terminals}
-    return ParseTable(entries, {a: table.nullable_alternatives(a) for a in nonterminals})
+    """A prediction table that predicts every alternative at every vertex,
+    sinks included, so lookahead prunes nothing."""
+    rows = grammar.parse_table.rows
+    return ParseTable({a: [(slot, first, True) for slot, first, _ in rows[a]] for a in rows})
 
 
 def run_checked(graph, grammar, starts=None, finals=None, **kwargs):

@@ -41,3 +41,20 @@ def test_readme_forest_json_example_uses_the_exported_keys():
             emitted.setdefault(node["kind"], set()).add(frozenset(node))
     for node in example["nodes"]:
         assert frozenset(node) in emitted[node["kind"]], node
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    quick_start = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    tsv = quick_start.split("<<'EOT'\n", 1)[1].split("EOT\n", 1)[0]
+    (tmp_path / "map.tsv").write_text(tsv, encoding="utf-8")
+    snippet = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert capsys.readouterr().out.splitlines()[0] == "0 -a-> 1 -a-> 2 -a-> 0 -b-> 3 -b-> 0 -b-> 3"
+    result, root = namespace["result"], namespace["root"]
+    assert result.root_pairs() == {(0, 0), (0, 3)}
+    assert cfpq.reachable_pairs(result, "Middle") == {(2, 3)}
+    assert (root.kind, root.label, root.left, root.right) == ("nonterminal", "S", 0, 0)
+    # the snippet's comments state these outputs
+    assert "# {(0, 0), (0, 3)}" in snippet and "# {(2, 3)}" in snippet and "(0, S, 0)" in snippet

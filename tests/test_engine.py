@@ -172,7 +172,7 @@ class TestProcessing:
 
     def test_nonterminal_step_predicts_table_cells(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        assert {s.key for s in eng._predict("S", 0)} == {(0, 0), (1, 0)}
+        assert [s.key for s in eng._predict("S", 0)] == [(0, 0), (1, 0)]
 
 
 class TestRunQuery:
@@ -332,7 +332,7 @@ class TestCallSiteSharing:
         # g0 calls S from three return slots, and the start vertices seed S too
         result, descriptor_keys = run_recording_dispatches(complete_graph(n, "ab"), g0)
         assert result.engine.gss_nodes == n
-        initial = {slot.key for slot in g0.initial_slots["S"]}
+        initial = {(p.index, 0) for p in g0.productions if p.lhs == "S"}
         seeded = [
             (slot_key, vertex)
             for slot_key, stack_key, vertex, sppf_key in descriptor_keys

@@ -83,22 +83,26 @@ class TestNullable:
         assert compute_nullable(g) == {"A", "B"}
 
 
+def cell(table, nonterminal, terminal):
+    """The keys of the alternatives whose FIRST holds ``terminal``."""
+    return {slot.key for slot, first, _ in table.rows[nonterminal] if terminal in first}
+
+
 class TestParseTable:
     def test_g1_cells(self, g1):
         table = build_parse_table(g1)
-        cell = {s.key for s in table.cell("S", "a")}
-        assert cell == {(0, 0), (1, 0)}  # S -> .aSb and S -> .Middle
-        assert table.cell("S", "b") == ()
-        assert {s.key for s in table.cell("Middle", "a")} == {(2, 0)}
+        assert cell(table, "S", "a") == {(0, 0), (1, 0)}  # S -> .aSb and S -> .Middle
+        assert cell(table, "S", "b") == set()
+        assert cell(table, "Middle", "a") == {(2, 0)}
 
     def test_g0_nullable_entries(self, g0):
         table = build_parse_table(g0)
-        # cells are FIRST-only: a S b and S S start with a, and b starts no
-        # alternative; nullable alternatives are listed apart from the cells
-        assert {s.key for s in table.cell("S", "a")} == {(1, 0), (2, 0)}
-        assert table.cell("S", "b") == ()
+        # FIRST is terminals only: a S b and S S start with a, and b starts
+        # no alternative; the empty-deriving flag is apart from FIRST
+        assert cell(table, "S", "a") == {(1, 0), (2, 0)}
+        assert cell(table, "S", "b") == set()
         # both the epsilon production and the nullable S S alternative qualify
-        assert {s.key for s in table.nullable_alternatives("S")} == {(0, 0), (2, 0)}
+        assert {slot.key for slot, _, empty in table.rows["S"] if empty} == {(0, 0), (2, 0)}
 
 
 class TestSlots:
@@ -142,8 +146,8 @@ def derivable_forms(grammar: Grammar, root: str, max_length: int) -> set[tuple[s
         for i, sym in enumerate(form):
             if sym not in grammar.nonterminals:
                 break
-            for p in grammar.alternatives[sym]:
-                new = form[:i] + p.rhs + form[i + 1 :]
+            for rhs in [p.rhs for p in grammar.productions if p.lhs == sym]:
+                new = form[:i] + rhs + form[i + 1 :]
                 if len(new) > max_length:
                     continue
                 for j in range(i, len(new)):
@@ -223,15 +227,15 @@ def test_table_invariant_cell_by_cell(text):
         for t in g.terminals:
             expected = {
                 (p.index, 0)
-                for p in g.alternatives[a]
-                if t in brute_first_of(g, p.rhs, nullable, first)[0]
+                for p in g.productions
+                if p.lhs == a and t in brute_first_of(g, p.rhs, nullable, first)[0]
             }
-            assert {s.key for s in table.cell(a, t)} == expected, (a, t)
+            assert cell(table, a, t) == expected, (a, t)
 
 
 def test_prediction_matches_brute_force():
     """The engine predicts an alternative at a vertex iff its FIRST set meets
-    the vertex's out-labels or it derives the empty word."""
+    the vertex's out-labels or it derives the empty word, in grammar order."""
     rng = random.Random(31337)
     for _ in range(40):
         g = random_grammar(rng)
@@ -242,9 +246,10 @@ def test_prediction_matches_brute_force():
         for v in graph.vertices():
             out_labels = set(graph.adjacency.get(v, ()))
             for a in g.nonterminals:
-                expected = set()
-                for p in g.alternatives[a]:
+                expected = []
+                for p in g.productions:
                     rhs_first, rhs_nullable = brute_first_of(g, p.rhs, nullable, first)
-                    if rhs_first & out_labels or rhs_nullable:
-                        expected.add((p.index, 0))
-                assert {s.key for s in engine._predict(a, v)} == expected, (a, v)
+                    if p.lhs == a and (rhs_first & out_labels or rhs_nullable):
+                        expected.append((p.index, 0))
+                # grammar order: it fixes the descriptor order, so forest ids
+                assert [s.key for s in engine._predict(a, v)] == expected, (a, v)

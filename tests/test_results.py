@@ -124,6 +124,13 @@ class TestEnumeratePaths:
             PathQueryLimits(0, 12)
         with pytest.raises(ValueError):
             PathQueryLimits(1, 0)
+        # a non-integer limit is named where it is made, not failed on in range() or islice()
+        with pytest.raises(TypeError, match="max_length must be an integer, got 2.5"):
+            PathQueryLimits(2, 2.5)
+        with pytest.raises(TypeError, match="max_paths must be an integer, got 1.5"):
+            PathQueryLimits(1.5, 2)
+        with pytest.raises(TypeError, match="max_paths must be an integer, got '3'"):
+            PathQueryLimits("3", 2)
 
     def test_ambiguous_forest_paths_deduplicated(self, g0):
         # both g0 derivations of "abab" describe the same two-edge-cycle paths
