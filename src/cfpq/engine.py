@@ -18,18 +18,20 @@ node views.
 Stack nodes are keyed by (nonterminal, vertex), one per call of a
 nonterminal at a vertex, and the caller's return slot sits on the stack
 edge (Afroozeh & Izmaylova, "Faster, Practical GLL Parsing", CC 2015).  So a
-callee's body runs once per call vertex, however many call sites reach it:
-its alternatives are predicted once, when its stack node is created, from
-the nonterminal's row of the :class:`~cfpq.grammar.ParseTable`, in grammar
-order.  A start vertex seeds the ordinary node of the start symbol there,
-which an inner call of the start symbol at that vertex shares.  Every node
-of the start symbol that begins at a start vertex is popped at that shared
-node, so the accepted roots are read from its pops.
+callee's body runs once per call vertex, however many call sites reach it.
+A call with no stack node yet predicts its alternatives from the
+nonterminal's row of the :class:`~cfpq.grammar.ParseTable`, in grammar
+order, and makes the node only if it predicts one: a node with no
+descriptor never pops.  A start vertex makes the same call of the start
+symbol, whose node an inner call there shares.  Every node of the start
+symbol that begins at a start vertex is popped at that shared node, so the
+accepted roots are read from its pops.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -90,8 +92,8 @@ class QueryEngine:
         self.start_vertices = _vertex_set(start_vertices, graph.vertex_count)
         self.final_vertices = _vertex_set(final_vertices, graph.vertex_count)
         self.sppf = Sppf(grammar)
-        self._pending: deque = deque()
-        self._seen: dict[GrammarSlot, set] = {}
+        self._pending: list = []
+        self._seen: defaultdict[GrammarSlot, set] = defaultdict(set)
         self._gss: dict[tuple, GssNode] = {}
         for vertex in sorted(self.start_vertices):
             self._call(grammar.start, vertex)
@@ -101,9 +103,7 @@ class QueryEngine:
     def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int) -> None:
         """Queue a descriptor unless one was ever created with its identity:
         (slot, forest node), or (slot, stack, vertex) under DUMMY."""
-        seen = self._seen.get(slot)
-        if seen is None:
-            seen = self._seen[slot] = set()
+        seen = self._seen[slot]
         member = (stack, vertex) if sppf_node == DUMMY else sppf_node
         if member in seen:
             return
@@ -116,15 +116,15 @@ class QueryEngine:
         seen.add(member)
         self._pending.append((slot, stack, vertex, sppf_node))
 
-    def _call(self, nonterminal: str, vertex: int) -> GssNode:
-        """The stack node of a call of ``nonterminal`` at ``vertex``.  Creating
-        it queues the predicted alternatives, so a call is predicted once; a
-        new node has no pops to replay."""
+    def _call(self, nonterminal: str, vertex: int) -> GssNode | None:
+        """The stack node of a call of ``nonterminal`` at ``vertex``, or None
+        when the call predicts no alternative, as it will each time it is made.
+        Creating the node queues the predictions; a new node has no pops to replay."""
         key = (nonterminal, vertex)
         node = self._gss.get(key)
-        if node is None:
+        if node is None and (predicted := self._predict(nonterminal, vertex)):
             node = self._gss[key] = GssNode(nonterminal, vertex)
-            for slot in self._predict(nonterminal, vertex):
+            for slot in predicted:
                 self.add(slot, node, vertex, DUMMY)
         return node
 
@@ -142,16 +142,17 @@ class QueryEngine:
 
     def create(
         self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int
-    ) -> GssNode:
+    ) -> GssNode | None:
         """Call the nonterminal before ``return_slot`` at ``vertex`` and
         attach the caller; a new stack edge replays every pop already
-        recorded on the node."""
+        recorded on the node.  None, with no edge, when the call predicts
+        nothing."""
         callee = return_slot.production.rhs[return_slot.dot - 1]
         node = self._call(callee, vertex)
         edge = (return_slot, sppf_node, stack)
-        if edge not in node.edges:
+        if node is not None and edge not in node.edges:
             node.edges[edge] = None
-            get_node_p, seen = self.sppf.get_node_p, self._seen.setdefault(return_slot, set())
+            get_node_p, seen = self.sppf.get_node_p, self._seen[return_slot]
             for popped, end in node.pops.items():
                 combined = get_node_p(return_slot, sppf_node, popped, stack.index, node.index, end)
                 if combined not in seen:
@@ -166,7 +167,7 @@ class QueryEngine:
         get_node_p, seen = self.sppf.get_node_p, self._seen
         for slot, edge_sppf, caller in stack.edges:
             combined = get_node_p(slot, edge_sppf, sppf_node, caller.index, stack.index, vertex)
-            if combined not in seen.get(slot, ()):
+            if combined not in seen[slot]:
                 self.add(slot, caller, vertex, combined)
 
     # -- descriptor dispatch ----------------------------------------------------
@@ -181,7 +182,7 @@ class QueryEngine:
                 current = self.sppf.get_node_p(slot, DUMMY, epsilon, vertex, vertex, vertex)
             self.pop(stack, vertex, current)
         elif slot.symbol_is_terminal:
-            next_slot, seen = slot.next_slot, self._seen.setdefault(slot.next_slot, set())
+            next_slot, seen = slot.next_slot, self._seen[slot.next_slot]
             terminal_node, get_node_p = self.sppf.terminal_node, self.sppf.get_node_p
             for target in self.graph.adjacency.get(vertex, {}).get(symbol, ()):
                 right = terminal_node(vertex, symbol, target)
@@ -205,8 +206,8 @@ class QueryEngine:
             for popped, right in stack.pops.items()
             if right in self.final_vertices
         )
-        stats = EngineStats(  # most single-source lookups create no descriptor: skip the sum
-            descriptors=sum(map(len, self._seen.values())) if self._seen else 0,
+        stats = EngineStats(
+            descriptors=sum(map(len, self._seen.values())),
             gss_nodes=len(self._gss),
             gss_edges=sum(len(node.edges) for node in self._gss.values()),
         )
@@ -222,14 +223,20 @@ class QueryEngine:
 
 
 def _vertex_set(vertices: Iterable[int] | None, vertex_count: int) -> frozenset[int] | range:
-    """All vertices by default, else the given ones, each checked to exist."""
+    """All vertices by default, else the given ones, each checked to be an
+    integer and to exist."""
     if vertices is None:
         return range(vertex_count)
-    chosen = frozenset(vertices)
-    for v in chosen:
+    chosen = set()
+    for v in vertices:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise TypeError(f"a vertex must be an integer, got {v!r}") from None
         if not 0 <= v < vertex_count:
             raise ValueError(f"vertex {v} outside the graph")
-    return chosen
+        chosen.add(v)
+    return frozenset(chosen)
 
 
 def run_query(

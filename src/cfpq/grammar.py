@@ -188,8 +188,6 @@ def parse_grammar(text: str) -> Grammar:
                 )
             rhs_tokens = []
         rules.append((lhs, tuple(rhs_tokens)))
-    if not rules:
-        raise GrammarError("grammar has no rules")
     return Grammar(rules)
 
 

@@ -13,11 +13,11 @@ Lengths are built one at a time, up to the last path emitted or twice the
 longest length derived below the root.  Each length marks the nodes whose
 window holds it and that derive a sequence of that length, then evaluates
 the (node, length) keys that the root reaches through marked nodes, each
-keeping at most ``max_paths`` sequences.  Both steps settle one extent at a
-time, and visit a node again only after a node of its extent changed.  Work
-and memory grow with the windowed nodes and the lengths read, plus
-breadth-first searches cut at ``max_length`` hops, not with ``max_length``
-or the number of matching paths.
+keeping at most ``max_paths`` sequences.  Each step visits a node again only
+after a node of its extent that it reads changed.  Work and memory grow
+with the windowed nodes and the lengths read, plus breadth-first searches
+cut at ``max_length`` hops, not with ``max_length`` or the number of
+matching paths.
 """
 
 from __future__ import annotations
@@ -140,19 +140,19 @@ class _PathTables:
     window may miss bits but never gain false ones, and plans follow set
     bits only, so every key a plan reaches lies on such a derivation.
 
-    Both fixpoints, a length's mask bits and its keys' sequences, are settled
-    one extent at a time.  A split of a node spanning (u, v) at length L
-    reads its parts at lengths below L, which are final, except where one
-    part has 0 edges: that part derives the empty path and spans (w, w), so
-    the other spans (u, v) itself.  So at one length a node reads only nodes
-    of its own extent, which share its window.  A node that is its own child
+    A split of a node spanning (u, v) at length L reads its parts at lengths
+    below L, which are final, except where one part has 0 edges: that part
+    derives the empty path and spans (w, w), so the other spans (u, v)
+    itself.  So at one length a node reads only nodes of its own extent,
+    which share its window, and no extent waits on another.  A length's mask
+    bits are settled one extent at a time.  A node that is its own child
     beside an empty part adds only what it has already, so an extent with
     one node is settled by one pass.  A larger extent's mask pass is repeated
-    until it sets no bit.  Its keys are evaluated from a worklist instead, as
-    evaluating a key costs far more than testing a bit: a key whose value
-    changes puts back the keys of its length and extent that read it.  Both
-    converge: bits are only set, and a key's value is the ``k`` smallest of
-    a growing set of its true sequences.
+    until it sets no bit.  A length's keys are evaluated from one worklist
+    instead, as evaluating a key costs far more than testing a bit: a key
+    whose value changes puts back the keys of its length that read it.  Both
+    fixpoints converge: bits are only set, and a key's value is the ``k``
+    smallest of a growing set of its true sequences.
 
     Keeping only the ``k`` smallest sequences per key is exact: the ``k``
     smallest sequences of a union lie within the members' ``k`` smallest,
@@ -161,7 +161,6 @@ class _PathTables:
 
     def __init__(self, sppf: Sppf, graph: Graph, root: int, max_length: int, k: int) -> None:
         self.root, self.width, self.k = root, max_length + 1, k
-        self.extent = sppf.extent
         far = self.width  # beyond every window
         hops = _Hops(graph, max_length)
         s, t = sppf.extent(root)
@@ -230,7 +229,7 @@ class _PathTables:
         self._grow_masks(length)
         if not self.masks[self.root] >> length & 1:
             return ()
-        table, width, extent = self.table, self.width, self.extent
+        table, width = self.table, self.width
         top = self.root * width + length
         plans: dict[int, list] = {}  # every key reached and not yet final: its plan
         stack = [top]
@@ -239,10 +238,9 @@ class _PathTables:
             if key not in plans:
                 plan = plans[key] = self._plan(*divmod(key, width))
                 stack += [c for pair in plan for c in pair if c not in table]
-        groups: dict[tuple, dict] = {}  # by (length, extent): each key's plan
+        groups: dict[int, dict] = {}  # by length: each key's plan
         for key, plan in plans.items():
-            i, n = divmod(key, width)
-            groups.setdefault((n, extent(i)), {})[key] = plan
+            groups.setdefault(key % width, {})[key] = plan
         for _, work in sorted(groups.items()):
             readers: dict[int, list] = {key: [] for key in work}
             for key, plan in work.items():

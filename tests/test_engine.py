@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cfpq.engine import QueryEngine, run_query, size_audit
+from cfpq.engine import GssNode, QueryEngine, run_query, size_audit
 from cfpq.grammar import Grammar, parse_grammar
 from cfpq.graph import Graph, complete_graph, load_tsv
 from cfpq.oracle import hellings_pairs, hellings_slice
@@ -38,8 +38,10 @@ def descriptor_count(eng):
 
 
 def unpredicted_stack(eng):
-    # Middle -> a b is not predicted at vertex 3, which has only a b out-edge
-    return eng._call("Middle", 3)
+    # Middle -> a b is not predicted at vertex 3, which has only a b out-edge,
+    # so the call makes no stack node: build one to add descriptors to
+    assert eng._call("Middle", 3) is None
+    return GssNode("Middle", 3)
 
 
 class TestAdd:
@@ -151,6 +153,23 @@ class TestPop:
         assert len(eng._pending) == pending + 1  # the pop replayed for the late return slot
 
 
+class TestUnpredictedCall:
+    def test_create_attaches_no_edge_to_a_call_that_predicts_nothing(self, graph_m, g1):
+        eng = fresh_engine(graph_m, g1)
+        start = eng._call("S", 0)
+        assert eng.create(g1.slot(1, 1), start, 3, DUMMY) is None  # S -> Middle . at 3
+        assert ("Middle", 3) not in eng._gss
+
+    def test_sparse_ids_make_no_stack_node_per_vertex(self):
+        graph = Graph(vertex_count=100_001)
+        graph.add_edge(0, "a", 1)
+        graph.add_edge(1, "b", 100_000)
+        engine = QueryEngine(graph, parse_grammar("S -> a S b\nS -> a b"))
+        result = engine.run()
+        assert result.engine.gss_nodes == 1
+        assert result.root_pairs() == {(0, 100_000)}
+
+
 class TestProcessing:
     def test_terminal_step_offers_descriptor_at_edge_target(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
@@ -198,6 +217,12 @@ class TestRunQuery:
     def test_vertex_validation(self, graph_m, g1):
         with pytest.raises(ValueError):
             run_query(graph_m, g1, {99})
+
+    @pytest.mark.parametrize("vertex", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("role", ["start_vertices", "final_vertices"])
+    def test_vertices_must_be_integers(self, graph_m, g1, role, vertex):
+        with pytest.raises(TypeError, match="a vertex must be an integer"):
+            run_query(graph_m, g1, **{role: [vertex]})
 
     @pytest.mark.parametrize(
         "starts, finals", [({0}, {99}), ({0}, {-1}), ({0}, {0, 4}), ({-1}, None)]
@@ -363,6 +388,14 @@ class TestCallSiteSharing:
             rows = {c.name.split(" <=")[0]: c for c in size_audit(result)}
             assert rows["stack nodes"].bound <= (grammar.return_slot_count + 1) * n
             assert rows["stack edges"].bound <= ((grammar.return_slot_count + 1) * n) ** 2
+
+    def test_every_stack_node_predicts_an_alternative(self):
+        rng = random.Random(4242)  # the grammars and graphs of the test above
+        for _ in range(40):
+            grammar = random_grammar(rng)
+            engine = QueryEngine(random_abc_graph(rng), grammar)
+            engine.run()
+            assert all(engine._predict(a, v) for a, v in engine._gss)
 
 
 # sha256 of export_json(result.sppf), the whole forest, all vertices to all.
