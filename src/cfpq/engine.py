@@ -4,11 +4,11 @@ One :class:`QueryEngine` owns a single execution: the descriptor worklist,
 the merged-stack nodes and the forest under construction.  A descriptor is a
 suspended configuration (slot, stack node, vertex, forest node); each is
 processed exactly once, last in first out, though any order gives the same
-answer.  Each combine passes ``Sppf.get_node_p`` the extents it holds and
-looks the descriptor up by (slot, forest node) before ``add``: a forest node
-other than DUMMY spans (stack origin, vertex) on a stack node of the slot's
-left-hand side.  Input positions are graph vertices, so consuming a terminal
-fans out over all matching out-edges, and the run starts from every start vertex.
+answer, and counted as processed.  Each combine passes ``Sppf.get_node_p``
+the extents it holds and queues the descriptor only if its slot's set of
+forest ids lacks the node: a combined forest node spans (stack origin,
+vertex) on a stack node of the slot's left-hand side.  Input positions are
+graph vertices, so consuming a terminal fans out over all matching out-edges.
 
 Forest nodes are integer ids into the :class:`~cfpq.sppf.Sppf` store, and
 ``DUMMY = -1`` is the empty forest before anything matched, so descriptors
@@ -22,10 +22,13 @@ callee's body runs once per call vertex, however many call sites reach it.
 A call with no stack node yet predicts its alternatives from the
 nonterminal's row of the :class:`~cfpq.grammar.ParseTable`, in grammar
 order, and makes the node only if it predicts one: a node with no
-descriptor never pops.  A start vertex makes the same call of the start
-symbol, whose node an inner call there shares.  Every node of the start
-symbol that begins at a start vertex is popped at that shared node, so the
-accepted roots are read from its pops.
+descriptor never pops.  The predictions are new with the node, so they are
+queued under DUMMY and recorded nowhere.  A start vertex makes the same
+call of the start symbol, whose node an inner call there shares; by
+default, a start symbol that cannot derive the empty word is called only at
+vertices with out-edges, as it predicts nothing elsewhere.  Every node of
+the start symbol that begins at a start vertex is popped at that shared
+node, so the accepted roots are read from the start nodes' pops.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable
 
 from .grammar import Grammar, GrammarSlot, ParseTable
 from .graph import Graph
-from .results import QueryResult
+from .results import EngineStats, QueryResult
 from .sppf import DUMMY, Sppf
 
 
@@ -65,13 +68,6 @@ class GssNode:
         return f"gss({self.nonterminal}, {self.index})"
 
 
-@dataclass(frozen=True)
-class EngineStats:
-    descriptors: int
-    gss_nodes: int
-    gss_edges: int
-
-
 class QueryEngine:
     """One query execution; create, :meth:`run`, then read the result."""
 
@@ -93,39 +89,37 @@ class QueryEngine:
         self.final_vertices = _vertex_set(final_vertices, graph.vertex_count)
         self.sppf = Sppf(grammar)
         self._pending: list = []
-        self._seen: defaultdict[GrammarSlot, set] = defaultdict(set)
+        self._seen: defaultdict[GrammarSlot, set[int]] = defaultdict(set)
         self._gss: dict[tuple, GssNode] = {}
-        for vertex in sorted(self.start_vertices):
-            self._call(grammar.start, vertex)
+        seeds = self.start_vertices
+        if start_vertices is None and not any(e for _, _, e in self.table.rows[grammar.start]):
+            seeds = graph.adjacency  # a vertex with no out-edge predicts nothing
+        self._starts = [n for v in sorted(seeds) if (n := self._call(grammar.start, v))]
 
     # -- worklist ------------------------------------------------------------
 
     def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int) -> None:
-        """Queue a descriptor unless one was ever created with its identity:
-        (slot, forest node), or (slot, stack, vertex) under DUMMY."""
-        seen = self._seen[slot]
-        member = (stack, vertex) if sppf_node == DUMMY else sppf_node
-        if member in seen:
-            return
+        """Record and queue a combined descriptor; the caller has found its
+        (slot, forest node) not yet in the slot's descriptor set."""
         assert stack.nonterminal == slot.production.lhs, f"{slot!r} on {stack!r}"
         # Every created forest node spans exactly (stack origin, current vertex).
-        assert sppf_node == DUMMY or self.sppf.extent(sppf_node) == (stack.index, vertex), (
+        assert self.sppf.extent(sppf_node) == (stack.index, vertex), (
             f"descriptor extension mismatch: {self.sppf.node(sppf_node)!r} at {stack!r}, "
             f"vertex {vertex}"
         )
-        seen.add(member)
+        self._seen[slot].add(sppf_node)
         self._pending.append((slot, stack, vertex, sppf_node))
 
     def _call(self, nonterminal: str, vertex: int) -> GssNode | None:
         """The stack node of a call of ``nonterminal`` at ``vertex``, or None
         when the call predicts no alternative, as it will each time it is made.
-        Creating the node queues the predictions; a new node has no pops to replay."""
+        A new node queues its predictions, which are new with it and recorded
+        in no descriptor set, and has no pops to replay."""
         key = (nonterminal, vertex)
         node = self._gss.get(key)
         if node is None and (predicted := self._predict(nonterminal, vertex)):
             node = self._gss[key] = GssNode(nonterminal, vertex)
-            for slot in predicted:
-                self.add(slot, node, vertex, DUMMY)
+            self._pending.extend([(slot, node, vertex, DUMMY) for slot in predicted])
         return node
 
     def _predict(self, nonterminal: str, vertex: int) -> list[GrammarSlot]:
@@ -193,21 +187,22 @@ class QueryEngine:
             self.create(slot.next_slot, stack, vertex, current)
 
     def run(self) -> QueryResult:
+        """Process and count every descriptor; the roots are the start nodes' pops."""
         pending = self._pending
         pop = pending.pop
         processing = self.processing
+        processed = 0
         while pending:
             processing(pop())
-        start = self.grammar.start
+            processed += 1
         roots = sorted(
-            (vertex, right, popped)
-            for vertex in self.start_vertices
-            if (stack := self._gss.get((start, vertex))) is not None
+            (stack.index, right, popped)
+            for stack in self._starts
             for popped, right in stack.pops.items()
             if right in self.final_vertices
         )
         stats = EngineStats(
-            descriptors=sum(map(len, self._seen.values())),
+            descriptors=processed,
             gss_nodes=len(self._gss),
             gss_edges=sum(len(node.edges) for node in self._gss.values()),
         )

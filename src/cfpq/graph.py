@@ -178,7 +178,8 @@ def load_tsv(text: str) -> Graph:
     otherwise all vertices are interned by first appearance, so ``01`` and
     ``1`` are two named vertices.  Numeric ids may leave gaps, but none may
     exceed ``2**20 + 16 * (number of distinct ids)``: every vertex up to the
-    largest id is part of the graph, and a default query visits them all.
+    largest id is part of the graph, and a default query whose start symbol
+    derives the empty word visits them all.
     Each distinct token is mapped to its id once, and each target list is
     sorted once, so a vertex of any out-degree loads in O(E log E).
     """

@@ -25,14 +25,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .grammar import Grammar
 from .graph import Graph, Path
 from .sppf import DUMMY, Sppf, SppfNode, _reachable
-
-if TYPE_CHECKING:
-    from .engine import EngineStats
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,13 @@ class PathQueryLimits:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.max_paths < 1 or self.max_length < 1:
             raise ValueError("path limits must be at least 1")
+
+
+@dataclass(frozen=True)
+class EngineStats:
+    descriptors: int  # processed
+    gss_nodes: int
+    gss_edges: int
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,9 @@ def enumerate_paths(
     length come in lexicographic order of their ``(source, label, target)``
     edge tuples.
     """
-    root = next((n for n in result.roots if (n.left, n.right) == (source, target)), None)
+    if source not in result.start_vertices or target not in result.final_vertices:
+        return
+    root = result.sppf.nonterminal_node(result.grammar.start, source, target)
     if root is None:
         return
     tables = _PathTables(result.sppf, result.graph, root.id, limits.max_length, limits.max_paths)

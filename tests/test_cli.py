@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cfpq import export_json, load_tsv, parse_grammar, run_query
-from cfpq.cli import load_builtin_grammar, main
+from cfpq.cli import CliError, load_builtin_grammar, main
 from conftest import M_TSV
 
 # one instance with two types: c1 and c2 sit on the same layer
@@ -41,6 +41,10 @@ class TestBuiltinGrammars:
         g = load_builtin_grammar(name)
         assert len(g.productions) == productions
         assert g.start == start
+
+    def test_unknown_alias_is_rejected(self):
+        with pytest.raises(CliError, match="unknown built-in grammar 'g9'"):
+            load_builtin_grammar("g9")
 
 
 class TestQuery:
@@ -92,6 +96,11 @@ class TestQuery:
     def test_unreadable_graph_exits_2(self, grammar_file, capsys):
         assert main(["query", "--graph", "/nonexistent.tsv", "--grammar", grammar_file]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_grammar_exits_2(self, tmp_path, graph_file, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["query", "--graph", graph_file, "--grammar", missing]) == 2
+        assert "cannot read grammar" in capsys.readouterr().err
 
     def test_bad_vertex_exits_2(self, graph_file, grammar_file):
         assert main(
@@ -346,6 +355,12 @@ class TestBench:
         out = str(tmp_path / "nodir" / "bench.csv")
         assert main(["bench", "--grammar", "g2", "--sizes", "2..3", "--out", out]) == 2
         assert f"cannot write {out!r}: no directory" in capsys.readouterr().err
+
+    def test_csv_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        out.mkdir()
+        assert main(["bench", "--grammar", "g2", "--sizes", "2..3", "--out", str(out)]) == 2
+        assert f"cannot write {str(out)!r}" in capsys.readouterr().err
 
     def test_empty_size_range_exits_2(self, capsys):
         assert main(["bench", "--grammar", "g2", "--sizes", "5..2"]) == 2

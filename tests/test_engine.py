@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cfpq.engine import GssNode, QueryEngine, run_query, size_audit
+from cfpq.engine import QueryEngine, run_query, size_audit
 from cfpq.grammar import Grammar, parse_grammar
 from cfpq.graph import Graph, complete_graph, load_tsv
 from cfpq.oracle import hellings_pairs, hellings_slice
@@ -33,56 +33,51 @@ def two_call_sites_engine():
 
 
 def descriptor_count(eng):
-    # the count EngineStats.descriptors reads
+    # the combined descriptors recorded so far; predictions are recorded nowhere
     return sum(map(len, eng._seen.values()))
 
 
-def unpredicted_stack(eng):
-    # Middle -> a b is not predicted at vertex 3, which has only a b out-edge,
-    # so the call makes no stack node: build one to add descriptors to
-    assert eng._call("Middle", 3) is None
-    return GssNode("Middle", 3)
-
-
 class TestAdd:
-    def test_fresh_descriptor_enters_both_sets(self, graph_m, g1):
-        eng = fresh_engine(graph_m, g1)
-        seen, pending = descriptor_count(eng), len(eng._pending)
-        middle = unpredicted_stack(eng)
-        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
-        assert (descriptor_count(eng), len(eng._pending)) == (seen + 1, pending + 1)
+    def test_fresh_descriptor_enters_both_sets(self):
+        eng, grammar = two_call_sites_engine()
+        start = eng._call("S", 0)
+        completed = eng.sppf.get_node_p(
+            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
+        )
+        pending = len(eng._pending)
+        eng.add(grammar.slot(0, 1), start, 1, completed)  # S -> A . b holds A on (0, 1)
+        assert eng._seen[grammar.slot(0, 1)] == {completed}
+        assert len(eng._pending) == pending + 1
 
     def test_duplicate_descriptor_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        middle = unpredicted_stack(eng)
-        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
-        seen, pending = descriptor_count(eng), len(eng._pending)
-        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
-        assert (descriptor_count(eng), len(eng._pending)) == (seen, pending)
+        pending = list(eng._pending)
+        assert eng._call("S", 0) is not None  # seeded: its predictions are queued
+        assert eng._pending == pending
 
     def test_descriptors_differing_only_in_vertex_are_kept(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
-        middle = unpredicted_stack(eng)
-        eng.add(g1.slot(2, 0), middle, 3, DUMMY)
-        seen = descriptor_count(eng)
-        eng.add(g1.slot(2, 0), middle, 1, DUMMY)
-        assert descriptor_count(eng) == seen + 1
+        pending = len(eng._pending)
+        node = eng._call("S", 2)
+        assert eng._pending[pending:] == [
+            (g1.slot(0, 0), node, 2, DUMMY),
+            (g1.slot(1, 0), node, 2, DUMMY),
+        ]
+        assert not any(eng._seen.values())
 
     def test_stack_of_another_nonterminal_is_rejected(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         with pytest.raises(AssertionError):  # Middle -> . a b on the stack of S
             eng.add(g1.slot(2, 0), eng._call("S", 0), 0, DUMMY)
 
-    def test_second_add_of_one_slot_and_forest_node_is_ignored(self):
-        eng, grammar = two_call_sites_engine()
+    def test_second_add_of_one_slot_and_forest_node_is_ignored(self, graph_m, g1):
+        eng = fresh_engine(graph_m, g1)
         start = eng._call("S", 0)
-        completed = eng.sppf.get_node_p(
-            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
-        )
-        eng.add(grammar.slot(0, 1), start, 1, completed)  # S -> A . b holds A on (0, 1)
-        seen, pending = descriptor_count(eng), len(eng._pending)
-        eng.add(grammar.slot(0, 1), start, 1, completed)
-        assert (descriptor_count(eng), len(eng._pending)) == (seen, pending)
+        eng._pending.clear()
+        for _ in range(2):  # S -> . a S b at 0 reads the edge (0, a, 1) twice
+            eng.processing((g1.slot(0, 0), start, 0, DUMMY))
+        (descriptor,) = eng._pending
+        assert descriptor[:3] == (g1.slot(0, 1), start, 1)
 
     def test_one_forest_node_under_another_slot_is_kept(self):
         eng, grammar = two_call_sites_engine()
@@ -160,14 +155,24 @@ class TestUnpredictedCall:
         assert eng.create(g1.slot(1, 1), start, 3, DUMMY) is None  # S -> Middle . at 3
         assert ("Middle", 3) not in eng._gss
 
-    def test_sparse_ids_make_no_stack_node_per_vertex(self):
+    def test_sparse_ids_make_no_stack_node_per_vertex(self, monkeypatch):
         graph = Graph(vertex_count=100_001)
         graph.add_edge(0, "a", 1)
         graph.add_edge(1, "b", 100_000)
+        calls = []
+        predict = QueryEngine._predict
+
+        def counted(engine, nonterminal, vertex):
+            calls.append((nonterminal, vertex))
+            return predict(engine, nonterminal, vertex)
+
+        monkeypatch.setattr(QueryEngine, "_predict", counted)
         engine = QueryEngine(graph, parse_grammar("S -> a S b\nS -> a b"))
         result = engine.run()
         assert result.engine.gss_nodes == 1
         assert result.root_pairs() == {(0, 100_000)}
+        # S derives no empty word, so a vertex with no out-edge is not seeded
+        assert len(calls) <= 3
 
 
 class TestProcessing:
@@ -396,6 +401,15 @@ class TestCallSiteSharing:
             engine = QueryEngine(random_abc_graph(rng), grammar)
             engine.run()
             assert all(engine._predict(a, v) for a, v in engine._gss)
+
+    def test_descriptor_sets_hold_forest_ids_only(self):
+        rng = random.Random(4242)  # the grammars and graphs of the tests above
+        for _ in range(40):
+            grammar = random_grammar(rng)
+            engine = QueryEngine(random_abc_graph(rng), grammar)
+            engine.run()
+            members = [m for seen in engine._seen.values() for m in seen]
+            assert all(type(m) is int and m >= 0 for m in members)
 
 
 # sha256 of export_json(result.sppf), the whole forest, all vertices to all.

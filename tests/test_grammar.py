@@ -30,10 +30,12 @@ class TestParseGrammar:
         assert g1.terminals == {"a", "b"}
         assert g1.start == "S"
         assert [p.rhs for p in g1.productions] == [("a", "S", "b"), ("Middle",), ("a", "b")]
+        assert str(g1.productions[0]) == "S -> a S b"
 
     def test_epsilon_only(self):
         g = parse_grammar("S -> eps")
         assert g.productions[0].rhs == ()
+        assert str(g.productions[0]) == "S -> eps"
         assert g.terminals == frozenset()
         assert g.nullable == {"S"}
 

@@ -58,6 +58,7 @@ def test_epsilon_node_extension(g1):
     node = sp.node(sp.epsilon_node(2))
     assert (node.left, node.right) == (2, 2)
     assert sp.node(sp.epsilon_node(2)) == node
+    assert node.label is None
 
 
 def test_pass_through_returns_right_unchanged(g1):
@@ -108,6 +109,7 @@ def test_packed_children_record_pivot(g1, graph_m):
     assert middle is not None
     (packed,) = middle.children
     assert packed.pivot == 0
+    assert packed.label is None and repr(packed) == "packed(prod=2, pivot=0)"
     assert [c.kind for c in packed.children] == ["terminal", "terminal"]
 
 
