@@ -1,9 +1,10 @@
 """Context-free grammars: text format, nullable/FIRST and the prediction table.
 
 A grammar is read from plain text, one rule per line (``lhs -> sym sym ...``,
-``eps`` for an empty right-hand side, ``#`` starts a comment).  A symbol is a
-nonterminal iff it occurs on the left of some rule; everything else is a
-terminal.  The first rule's left-hand side is the start symbol.
+``eps`` for an empty right-hand side, ``#`` starts a comment; ``->`` and
+``|`` are not symbols).  A symbol is a nonterminal iff it occurs on the left
+of some rule; everything else is a terminal.  The first rule's left-hand
+side is the start symbol.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ def parse_grammar(text: str) -> Grammar:
         if lhs == EPSILON_TOKEN:
             raise GrammarError(f"line {lineno}: {EPSILON_TOKEN!r} cannot be a rule head")
         rhs_tokens = rhs_part.split()
+        if "|" in rhs_tokens or ARROW in rhs_tokens:
+            raise GrammarError(f"line {lineno}: '|' and '->' are reserved; a rule per alternative")
         if not rhs_tokens:
             raise GrammarError(
                 f"line {lineno}: empty right-hand side; write {EPSILON_TOKEN!r} explicitly"

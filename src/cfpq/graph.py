@@ -7,12 +7,13 @@ first appearance order and the name table is retained for output.
 
 from __future__ import annotations
 
+import operator
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Edge = tuple[int, str, int]
+_Index = dict[int, dict[str, list[int]]]  # {source: {label: targets}}
 
 
 class GraphFormatError(ValueError):
@@ -20,64 +21,54 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """A directed graph with labeled, deduplicated edges, which live in one
-    index: ``{source: {label: sorted targets}}``, whose sources and labels
-    keep the order in which they first gained an edge.
+    """A directed graph with labeled, deduplicated edges, built once.
 
-    ``add_edge`` inserts one edge in O(out-degree); the loaders build the
-    whole index at once and sort each target list once.
+    ``edges`` are ``(source, label, target)`` triples in any order, repeats
+    allowed.  The vertices are 0 up to the largest of ``vertex_count - 1``,
+    an edge's endpoint and an id in ``names`` (``{name: id}`` in id order).
+    ``adjacency`` is the index ``{source: {label: sorted targets}}``, sources
+    and labels in first-edge order; treat it and ``names`` as read-only.
     """
 
-    def __init__(self, vertex_count: int = 0):
-        self._out: dict[int, dict[str, list[int]]] = {}
-        self._edge_count = 0
-        self._max_vertex = vertex_count - 1
-        self._names: list[str] | None = None
-        self._ids: dict[str, int] | None = None
+    def __init__(
+        self, edges: Iterable[Edge] = (), vertex_count: int = 0, names: dict[str, int] | None = None
+    ) -> None:
+        out: _Index = {}
+        for edge in edges:
+            source, label, target = edge
+            try:
+                source, target = operator.index(source), operator.index(target)
+            except TypeError:
+                raise TypeError(f"edge {edge!r}: a vertex must be an integer") from None
+            if source < 0 or target < 0:
+                raise ValueError(f"edge {edge!r}: a vertex must not be negative")
+            out.setdefault(source, {}).setdefault(label, []).append(target)
+            vertex_count = max(vertex_count, source + 1, target + 1)
+        if names is not None and list(names.values()) != list(range(len(names))):
+            raise ValueError("names must map the names to the ids 0, 1, 2, ... in order")
+        self._set_index(out, max(vertex_count, len(names or ())), names)
 
-    # -- construction ------------------------------------------------------
+    @classmethod
+    def _from_index(cls, out: _Index, vertex_count: int, names: dict[str, int] | None) -> Graph:
+        """A loader's graph: its index has valid ids, targets in row order."""
+        return cls.__new__(cls)._set_index(out, vertex_count, names)
 
-    def add_edge(self, source: int, label: str, target: int) -> bool:
-        """Insert an edge; returns False (no change) if it already exists."""
-        targets = self._out.setdefault(source, {}).setdefault(label, [])
-        i = bisect_left(targets, target)
-        if i < len(targets) and targets[i] == target:
-            return False
-        targets.insert(i, target)
-        self._edge_count += 1
-        if source > self._max_vertex:
-            self._max_vertex = source
-        if target > self._max_vertex:
-            self._max_vertex = target
-        return True
-
-    def touch_vertex(self, vertex: int) -> None:
-        """Ensure the vertex exists even if no edge mentions it."""
-        if vertex > self._max_vertex:
-            self._max_vertex = vertex
-
-    def copy_vertices(self) -> Graph:
-        """A new graph over the same vertex universe (names included), no edges."""
-        g = Graph(self.vertex_count)
-        if self._names is not None:
-            g._names = list(self._names)
-            g._ids = dict(self._ids or {})
-        return g
+    def _set_index(self, out: _Index, vertex_count: int, names: dict[str, int] | None) -> Graph:
+        """Sort and deduplicate each target list of ``out`` once, and count."""
+        edges = 0
+        for labels in out.values():
+            for label, targets in labels.items():
+                if len(targets) > 1:
+                    targets = labels[label] = sorted(set(targets))
+                edges += len(targets)
+        self.adjacency = out
+        self.edge_count = edges
+        self.vertex_count = vertex_count
+        self.names = names
+        self._names = None if names is None else list(names)
+        return self
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def vertex_count(self) -> int:
-        return self._max_vertex + 1
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    @property
-    def adjacency(self) -> dict[int, dict[str, list[int]]]:
-        """Out-index {source: {label: sorted targets}}; treat as read-only."""
-        return self._out
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -86,13 +77,10 @@ class Graph:
         """Every edge, sorted by (source, label, target)."""
         return [
             (source, label, target)
-            for source, labels in sorted(self._out.items())
+            for source, labels in sorted(self.adjacency.items())
             for label, targets in sorted(labels.items())
             for target in targets
         ]
-
-    def out_degree(self, vertex: int) -> int:
-        return sum(len(ts) for ts in self._out.get(vertex, {}).values())
 
     # -- vertex naming -----------------------------------------------------
 
@@ -103,9 +91,9 @@ class Graph:
 
     def resolve_vertex(self, token: str) -> int:
         """Map an external vertex token (name or number) to its id."""
-        if self._ids is not None:
-            if token in self._ids:
-                return self._ids[token]
+        if self.names is not None:
+            if token in self.names:
+                return self.names[token]
             raise KeyError(f"unknown vertex {token!r}")
         if not _is_number(token):
             raise KeyError(f"vertex {token!r} is not a number")
@@ -200,8 +188,9 @@ def load_tsv(text: str) -> Graph:
     tokens = dict.fromkeys(v for _, s, _, t in rows for v in (s, t))  # first appearance order
     if all(map(_is_number, tokens)):
         ids = {token: int(token) for token in tokens}
-        graph = Graph(max(ids.values(), default=-1) + 1)
-        if graph.vertex_count > 2**20:  # below that, no id can exceed the limit
+        names = None
+        vertex_count = max(ids.values(), default=-1) + 1
+        if vertex_count > 2**20:  # below that, no id can exceed the limit
             limit = 2**20 + 16 * len(ids)  # canonical numbers: one token per id
             for lineno, source, _, target in rows:
                 if max(ids[source], ids[target]) > limit:
@@ -210,13 +199,12 @@ def load_tsv(text: str) -> Graph:
                         f"{limit} (2**20 + 16 per distinct id)"
                     )
     else:
-        ids = {token: vid for vid, token in enumerate(tokens)}
-        graph = Graph(len(ids))
-        graph._names, graph._ids = list(ids), ids
-    out: dict[int, dict[str, list[int]]] = {}
+        ids = names = {token: vid for vid, token in enumerate(tokens)}
+        vertex_count = len(ids)
+    out: _Index = {}
     for _, source, label, target in rows:
         out.setdefault(ids[source], {}).setdefault(label, []).append(ids[target])
-    return _with_index(graph, out)
+    return Graph._from_index(out, vertex_count, names)
 
 
 _NT_IRI = r"<[^<>\s]*>"
@@ -298,7 +286,7 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
     ids: dict[str, int] = {}  # vertex name -> id
     vertex: dict[str, int] = {}  # term as written -> id
     labels: dict[str, tuple[str, str]] = {}  # predicate as written -> label, inverse label
-    out: dict[int, dict[str, list[int]]] = {}
+    out: _Index = {}
     for lineno, (subj, pred, obj, dot, bad) in enumerate(_NT_SCAN.findall(text), start=1):
         if not subj:
             if bad:
@@ -321,22 +309,7 @@ def load_ntriples(text: str, inverse_suffix: str = "_r") -> Graph:
             raise GraphFormatError(f"line {lineno}: {exc}") from None
         out.setdefault(s, {}).setdefault(label[0], []).append(o)
         out.setdefault(o, {}).setdefault(label[1], []).append(s)
-    graph = Graph(len(ids))
-    graph._names, graph._ids = list(ids), ids
-    return _with_index(graph, out)
-
-
-def _with_index(graph: Graph, out: dict[int, dict[str, list[int]]]) -> Graph:
-    """Give an edgeless graph the out-index ``out``, whose target lists are in
-    row order and may repeat: each list is sorted and deduplicated once."""
-    edges = 0
-    for labels in out.values():
-        for label, targets in labels.items():
-            if len(targets) > 1:
-                targets = labels[label] = sorted(set(targets))
-            edges += len(targets)
-    graph._out, graph._edge_count = out, edges
-    return graph
+    return Graph._from_index(out, len(ids), ids)
 
 
 def complete_graph(n: int, alphabet: Iterable[str], with_loops: bool = False) -> Graph:
@@ -349,11 +322,9 @@ def complete_graph(n: int, alphabet: Iterable[str], with_loops: bool = False) ->
         raise ValueError("vertex count must be at least 1")
     if not labels:
         raise ValueError("alphabet must not be empty")
-    graph = Graph(vertex_count=n)
-    for u in range(n):
-        for v in range(n):
-            if u == v and not with_loops:
-                continue
-            for label in labels:
-                graph.add_edge(u, label, v)
-    return graph
+    out = {
+        u: {label: [v for v in range(n) if v != u or with_loops] for label in labels}
+        for u in range(n)
+        if n > 1 or with_loops  # a lone vertex without its loop has no edge
+    }
+    return Graph._from_index(out, n, None)

@@ -102,7 +102,5 @@ def hellings_slice(graph: Graph, grammar: Grammar, nonterminal: str) -> set[tupl
 
 def accepts(grammar: Grammar, word: Sequence[str]) -> bool:
     """Word membership, decided by running the oracle on a linear graph."""
-    graph = Graph(vertex_count=len(word) + 1)
-    for i, symbol in enumerate(word):
-        graph.add_edge(i, symbol, i + 1)
+    graph = Graph([(i, symbol, i + 1) for i, symbol in enumerate(word)], len(word) + 1)
     return (grammar.start, 0, len(word)) in hellings_pairs(graph, grammar)

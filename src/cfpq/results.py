@@ -314,9 +314,6 @@ def enumerate_paths(
 
 def extract_subgraph(result: QueryResult) -> Graph:
     """The subgraph of input edges on paths matched by some accepted root."""
-    subgraph = result.graph.copy_vertices()
-    sppf = result.sppf
+    graph, sppf = result.graph, result.sppf
     edges = (sppf.terminal_edge(nid) for nid in _reachable(sppf, (r.id for r in result.roots)))
-    for edge in sorted(edge for edge in edges if edge):
-        subgraph.add_edge(*edge)
-    return subgraph
+    return Graph(sorted(edge for edge in edges if edge), graph.vertex_count, graph.names)

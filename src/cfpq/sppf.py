@@ -398,7 +398,8 @@ _DOT_SHAPES = ("box", "box", "oval", "box")  # by kind: terminal, epsilon, nonte
 
 
 def _dot_template(sppf: Sppf, key: tuple, ambiguous: bool) -> tuple[str, ...]:
-    label = _label(sppf, key).replace('"', '\\"')
+    # Graphviz reads a backslash in a label as an escape: double it first.
+    label = _label(sppf, key).replace("\\", "\\\\").replace('"', '\\"')
     style = ", style=filled" if ambiguous else ""
     return "  n", f' [shape={_DOT_SHAPES[key[0]]}, label="(', f", {label}, ", f')"{style}];'
 

@@ -207,7 +207,7 @@ def reference_export_dot(layout, verbose=False) -> str:
             label = repr(node.label)
         else:
             label = node.label
-        label = f"({node.left}, {label}, {node.right})".replace('"', '\\"')
+        label = f"({node.left}, {label}, {node.right})".replace("\\", "\\\\").replace('"', '\\"')
         shape = "oval" if node.kind == "nonterminal" else "box"
         style = ", style=filled" if node.ambiguous else ""
         lines.append(f'  n{number} [shape={shape}, label="{label}"{style}];')
@@ -220,10 +220,7 @@ def reference_export_dot(layout, verbose=False) -> str:
 
 
 def linear_graph(word: str) -> Graph:
-    graph = Graph(vertex_count=len(word) + 1)
-    for i, label in enumerate(word):
-        graph.add_edge(i, label, i + 1)
-    return graph
+    return Graph([(i, label, i + 1) for i, label in enumerate(word)], len(word) + 1)
 
 
 def all_paths(graph: Graph, max_length: int):
@@ -267,11 +264,10 @@ def brute_matching_endpoints(graph: Graph, grammar, max_length: int) -> set[tupl
 def sparse_graph(rng: random.Random) -> Graph:
     """8 to 12 vertices, each with at most two a/b out-edges (self-loops allowed)."""
     n = rng.randint(8, 12)
-    graph = Graph(vertex_count=n)
-    for u in range(n):
-        for _ in range(rng.randint(0, 2)):
-            graph.add_edge(u, rng.choice("ab"), rng.randrange(n))
-    return graph
+    edges = [
+        (u, rng.choice("ab"), rng.randrange(n)) for u in range(n) for _ in range(rng.randint(0, 2))
+    ]
+    return Graph(edges, n)
 
 
 def random_graph(rng: random.Random, max_vertices: int = 10, labels: str = "abc") -> Graph:
@@ -279,12 +275,12 @@ def random_graph(rng: random.Random, max_vertices: int = 10, labels: str = "abc"
     k = rng.randint(1, len(labels))
     alphabet = labels[:k]
     density = rng.uniform(0.2, 0.8)
-    graph = Graph(vertex_count=n)
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            for label in alphabet:
-                if rng.random() < density:
-                    graph.add_edge(u, label, v)
-    return graph
+    edges = [
+        (u, label, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v
+        for label in alphabet
+        if rng.random() < density
+    ]
+    return Graph(edges, n)

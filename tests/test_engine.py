@@ -156,9 +156,7 @@ class TestUnpredictedCall:
         assert ("Middle", 3) not in eng._gss
 
     def test_sparse_ids_make_no_stack_node_per_vertex(self, monkeypatch):
-        graph = Graph(vertex_count=100_001)
-        graph.add_edge(0, "a", 1)
-        graph.add_edge(1, "b", 100_000)
+        graph = Graph([(0, "a", 1), (1, "b", 100_000)], 100_001)
         calls = []
         predict = QueryEngine._predict
 
@@ -237,14 +235,11 @@ class TestRunQuery:
             run_query(graph_m, g1, starts, finals)
 
     def test_vertices_must_fit_in_32_bits(self, g1):
-        graph = Graph()
-        graph.add_edge(0, "a", 2**32)  # 2**32 + 1 vertices, none of them stored
+        graph = Graph([(0, "a", 2**32)])  # 2**32 + 1 vertices, none of them stored
         with pytest.raises(ValueError, match=r"at most 2\*\*32"):
             QueryEngine(graph, g1, start_vertices={0})
         top = 2**32 - 1  # the largest vertex that fits: the pivot of the root
-        graph = Graph()
-        graph.add_edge(0, "a", top)
-        graph.add_edge(top, "b", 1)
+        graph = Graph([(0, "a", top), (top, "b", 1)])
         (root,) = run_query(graph, parse_grammar("S -> a b"), {0}).roots
         (packed,) = root.children
         assert (root.left, root.right, packed.pivot) == (0, 1, top)
@@ -252,17 +247,14 @@ class TestRunQuery:
         assert children == [(0, "a", top), (top, "b", 1)]
 
     def test_default_sets_cover_isolated_top_vertex(self, g0):
-        graph = Graph(vertex_count=5)
-        graph.add_edge(0, "a", 1)
+        graph = Graph([(0, "a", 1)], 5)
         result = run_checked(graph, g0)
         assert 4 in result.start_vertices and 4 in result.final_vertices
         assert result.root_pairs() == {(v, v) for v in range(5)}
 
     def test_single_terminal_production(self):
         g = parse_grammar("S -> a")
-        graph = Graph()
-        graph.add_edge(0, "a", 1)
-        result = run_checked(graph, g)
+        result = run_checked(Graph([(0, "a", 1)]), g)
         assert result.root_pairs() == {(0, 1)}
 
     def test_epsilon_grammar_on_sink_vertices(self, g0):
@@ -326,14 +318,11 @@ def random_grammar(rng: random.Random) -> Grammar:
 
 def random_abc_graph(rng: random.Random) -> Graph:
     n = rng.randint(1, 7)
-    graph = Graph(vertex_count=n)
     density = rng.uniform(0.1, 0.7)
-    for u in range(n):
-        for v in range(n):
-            for label in "abc":
-                if rng.random() < density:
-                    graph.add_edge(u, label, v)
-    return graph
+    edges = [
+        (u, label, v) for u in range(n) for v in range(n) for label in "abc" if rng.random() < density
+    ]
+    return Graph(edges, n)
 
 
 def test_random_grammars_against_the_oracle():

@@ -14,6 +14,7 @@ from cfpq.grammar import (
     parse_grammar,
 )
 from cfpq.engine import QueryEngine
+from cfpq.graph import Graph
 from conftest import G0_TEXT, G1_TEXT, G2_TEXT, random_graph
 
 Q1_TEXT = (
@@ -58,6 +59,9 @@ class TestParseGrammar:
             ("S T -> a", "single symbol"),
             ("S -> a eps b", "only right-hand-side symbol"),
             ("eps -> a", "rule head"),
+            ("S -> a b\nS -> a S b | a b", "line 2: .* reserved; a rule per alternative"),
+            ("S -> | a", "line 1: '\\|' and '->' are reserved"),
+            ("S -> a\nS -> a -> b", "line 2: '\\|' and '->' are reserved"),
         ],
     )
     def test_syntax_errors_carry_line_numbers(self, text, fragment):
@@ -243,7 +247,7 @@ def test_prediction_matches_brute_force():
         g = random_grammar(rng)
         nullable, first = brute_tables(g, max_length=8)
         graph = random_graph(rng, max_vertices=6, labels="abc")
-        graph.touch_vertex(graph.vertex_count)  # a sink with no out-edges
+        graph = Graph(graph.edges(), graph.vertex_count + 1)  # and a sink with no out-edges
         engine = QueryEngine(graph, g)
         for v in graph.vertices():
             out_labels = set(graph.adjacency.get(v, ()))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -27,27 +28,25 @@ M_EDGES = {(0, "a", 1), (1, "a", 2), (2, "a", 0), (0, "b", 3), (3, "b", 0)}
 
 
 class TestAddEdge:
+    """Edges given to the constructor."""
+
     def test_insert_into_empty(self):
-        g = Graph()
-        assert g.add_edge(0, "a", 1) is True
+        g = Graph([(0, "a", 1)])
         assert g.edge_count == 1
+        assert g.vertex_count == 2
 
     def test_duplicate_is_rejected(self):
-        g = Graph()
-        assert g.add_edge(0, "a", 1) is True
-        assert g.add_edge(0, "a", 1) is False
+        g = Graph([(0, "a", 1), (0, "a", 1)])
+        assert g.edges() == [(0, "a", 1)]
         assert g.edge_count == 1
 
     def test_example_paths_rebuild_the_map(self):
-        g = Graph()
-        for edge in P0 + P1:
-            g.add_edge(*edge)
+        g = Graph(P0 + P1)
         assert set(g.edges()) == M_EDGES
         assert g.edge_count == 5
 
     def test_parallel_edges_with_distinct_labels_allowed(self):
-        g = Graph()
-        assert g.add_edge(0, "a", 1) and g.add_edge(0, "b", 1)
+        g = Graph([(0, "a", 1), (0, "b", 1)])
         assert g.edge_count == 2
 
     def test_shuffled_inserts_with_repeats_keep_one_sorted_index(self):
@@ -55,13 +54,40 @@ class TestAddEdge:
         distinct = [(u, label, v) for u in range(6) for label in "ab" for v in range(6)]
         inserted = rng.sample(distinct, 40) * 2 + rng.sample(distinct, 20)
         rng.shuffle(inserted)
-        g = Graph()
-        added = [g.add_edge(*edge) for edge in inserted]
+        g = Graph(inserted)
         assert g.edges() == sorted(set(inserted))
-        assert g.edge_count == sum(added) == len(set(inserted))
-        for labels in g.adjacency.values():
+        assert g.edge_count == len(set(inserted))
+        assert list(g.adjacency) == list(dict.fromkeys(u for u, _, _ in inserted))
+        for source, labels in g.adjacency.items():
+            assert list(labels) == list(dict.fromkeys(l for u, l, _ in inserted if u == source))
             for targets in labels.values():
                 assert targets == sorted(targets)
+
+    def test_vertex_count_covers_edges_and_names(self):
+        assert Graph(vertex_count=3).vertex_count == 3
+        assert Graph([(0, "a", 7)], vertex_count=3).vertex_count == 8
+        g = Graph([(0, "a", 1)], names={"x": 0, "y": 1, "z": 2})
+        assert g.vertex_count == 3
+        assert [g.vertex_name(v) for v in g.vertices()] == ["x", "y", "z"]
+        assert g.resolve_vertex("z") == 2
+
+    @pytest.mark.parametrize("names", [{"x": 1, "y": 0}, {"x": 0, "y": 2}, {"x": 1}])
+    def test_names_must_hold_the_ids_in_order(self, names):
+        with pytest.raises(ValueError, match="names must map the names to the ids 0, 1, 2"):
+            Graph([(0, "a", 1)], names=names)
+
+    @pytest.mark.parametrize(
+        "edge, error, message",
+        [
+            ((-1, "a", 0), ValueError, "a vertex must not be negative"),
+            ((0, "a", -1), ValueError, "a vertex must not be negative"),
+            ((0, "a", 1.5), TypeError, "a vertex must be an integer"),
+            (("1", "a", 0), TypeError, "a vertex must be an integer"),
+        ],
+    )
+    def test_vertices_must_be_non_negative_integers(self, edge, error, message):
+        with pytest.raises(error, match=f"edge {re.escape(repr(edge))}: {re.escape(message)}"):
+            Graph([(0, "a", 1), edge])
 
 
 class TestLoadTsv:
@@ -272,28 +298,34 @@ def index_in_order(graph: Graph) -> list:
     return [(source, list(labels.items())) for source, labels in graph.adjacency.items()]
 
 
-def assert_same_graph(loaded: Graph, reference: Graph, names: list[str] | None) -> None:
-    assert index_in_order(loaded) == index_in_order(reference)
-    assert loaded.edges() == reference.edges()
-    assert loaded.vertex_count == reference.vertex_count
-    assert loaded.edge_count == reference.edge_count
+def assert_same_graph(
+    loaded: Graph, rows: list[tuple[int, str, int]], vertex_count: int, names: list[str] | None
+) -> None:
+    """``loaded`` holds the index that adding each row's edge in turn gives:
+    sources and labels in first appearance order, targets sorted and distinct."""
+    index: dict[int, dict[str, list[int]]] = {}
+    for source, label, target in rows:
+        index.setdefault(source, {}).setdefault(label, []).append(target)
+    index = {s: {l: sorted(set(ts)) for l, ts in labels.items()} for s, labels in index.items()}
+    assert index_in_order(loaded) == [(s, list(labels.items())) for s, labels in index.items()]
+    assert loaded.edges() == sorted(set(rows))
+    assert loaded.vertex_count == vertex_count
+    assert loaded.edge_count == len(set(rows))
     if names is not None:
         assert [loaded.vertex_name(v) for v in loaded.vertices()] == names
         assert [loaded.resolve_vertex(name) for name in names] == list(range(len(names)))
 
 
-def interned(rows: list[tuple[str, str, str]]) -> tuple[Graph, list[str]]:
-    """A graph built edge by edge, vertices numbered by first appearance."""
+def interned(rows: list[tuple[str, str, str]]) -> tuple[list[tuple[int, str, int]], list[str]]:
+    """The rows with vertices numbered by first appearance, and the names."""
     ids: dict[str, int] = {}
-    graph = Graph()
-    for source, label, target in rows:
-        graph.add_edge(ids.setdefault(source, len(ids)), label, ids.setdefault(target, len(ids)))
-    return graph, list(ids)
+    numbered = [(ids.setdefault(s, len(ids)), l, ids.setdefault(t, len(ids))) for s, l, t in rows]
+    return numbered, list(ids)
 
 
 class TestLoadersMatchAddEdge:
-    """Each loader gives the graph that ``add_edge`` builds row by row,
-    with the same index order, ids, names and counts."""
+    """Each loader gives the index that adding its rows' edges one at a time
+    builds in plain Python, with the same order, ids, names and counts."""
 
     @staticmethod
     def shuffled_rows(rng: random.Random, tokens: list[str], count: int) -> list:
@@ -306,28 +338,23 @@ class TestLoadersMatchAddEdge:
     def test_tsv_numeric_ids(self, seed):
         rng = random.Random(seed)
         rows = self.shuffled_rows(rng, [str(i) for i in range(0, 40, 3)], 120)
-        reference = Graph()
-        for source, label, target in rows:
-            reference.add_edge(int(source), label, int(target))
+        numbered = [(int(source), label, int(target)) for source, label, target in rows]
         loaded = load_tsv("".join(f"{s}\t{l}\t{t}\n" for s, l, t in rows))
-        assert_same_graph(loaded, reference, None)
+        assert_same_graph(loaded, numbered, max(max(s, t) for s, _, t in numbered) + 1, None)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tsv_named_vertices(self, seed):
         rng = random.Random(seed)
         rows = self.shuffled_rows(rng, ["x", "y", "01", "1", "z z", "\u00b2"], 120)
-        reference, names = interned(rows)
+        numbered, names = interned(rows)
         loaded = load_tsv("".join(f"{s}\t{l}\t{t}\n" for s, l, t in rows))
-        assert_same_graph(loaded, reference, names)
+        assert_same_graph(loaded, numbered, len(names), names)
 
     def test_high_degree_star(self):
         targets = list(range(1, 3001)) * 2
         random.Random(1).shuffle(targets)
-        reference = Graph()
-        for target in targets:
-            reference.add_edge(0, "a", target)
         loaded = load_tsv("".join(f"0\ta\t{t}\n" for t in targets))
-        assert_same_graph(loaded, reference, None)
+        assert_same_graph(loaded, [(0, "a", t) for t in targets], 3001, None)
         assert loaded.adjacency[0]["a"] == list(range(1, 3001))
 
     # (term as written, its vertex name); two IRIs and a literal share "x"
@@ -356,11 +383,11 @@ class TestLoadersMatchAddEdge:
         rows = []
         for (_, s), (_, p), (_, o) in triples:
             rows += [(s, p, o), (o, p + "_inv", s)]
-        reference, names = interned(rows)
+        numbered, names = interned(rows)
         loaded = load_ntriples(
             "".join(f"{s} {p} {o} .\n" for (s, _), (p, _), (o, _) in triples), "_inv"
         )
-        assert_same_graph(loaded, reference, names)
+        assert_same_graph(loaded, numbered, len(names), names)
 
 
 class TestCompleteGraph:
@@ -376,6 +403,7 @@ class TestCompleteGraph:
         g = complete_graph(1, {"a"})
         assert g.vertex_count == 1
         assert g.edge_count == 0
+        assert g.adjacency == {}
 
     def test_with_loops(self):
         g = complete_graph(2, {"a"}, with_loops=True)
@@ -392,7 +420,7 @@ class TestCompleteGraph:
     def test_max_outdegree_matches_formula(self):
         for n in (2, 3, 5):
             g = complete_graph(n, {"a", "b"})
-            assert max(g.out_degree(v) for v in g.vertices()) == (n - 1) * 2
+            assert max(out_degree(g, v) for v in g.vertices()) == (n - 1) * 2
 
 
 class TestPathsAndWords:
@@ -415,6 +443,10 @@ class TestPathsAndWords:
         assert format_path(Path(((0, "a", 1), (1, "b", 0)))) == "0 -a-> 1 -b-> 0"
 
 
+def out_degree(graph: Graph, vertex: int) -> int:
+    return sum(len(ts) for ts in graph.adjacency.get(vertex, {}).values())
+
+
 def test_out_degrees_sum_to_edge_count():
     for g in (load_tsv(M_TSV), complete_graph(4, {"a", "b"}), Graph()):
-        assert sum(g.out_degree(v) for v in g.vertices()) == g.edge_count
+        assert sum(out_degree(g, v) for v in g.vertices()) == g.edge_count

@@ -12,9 +12,7 @@ from conftest import M_TSV
 
 def test_single_edge_single_rule():
     g = parse_grammar("S -> a")
-    graph = Graph()
-    graph.add_edge(0, "a", 1)
-    assert hellings_pairs(graph, g) == {("S", 0, 1)}
+    assert hellings_pairs(Graph([(0, "a", 1)]), g) == {("S", 0, 1)}
 
 
 def test_empty_graph():
@@ -29,25 +27,19 @@ def test_motivating_fixture_slice(g1):
 
 
 def test_epsilon_facts_cover_every_vertex(g0):
-    graph = Graph(vertex_count=4)
-    graph.add_edge(0, "a", 1)
-    facts = hellings_pairs(graph, g0)
+    facts = hellings_pairs(Graph([(0, "a", 1)], 4), g0)
     assert {("S", v, v) for v in range(4)} <= facts
 
 
 def test_auxiliary_heads_are_not_reported():
     g = parse_grammar("S -> a b c d")  # binarized internally
-    graph = Graph()
-    for i, lab in enumerate("abcd"):
-        graph.add_edge(i, lab, i + 1)
+    graph = Graph([(i, lab, i + 1) for i, lab in enumerate("abcd")])
     assert hellings_pairs(graph, g) == {("S", 0, 4)}
 
 
 def test_unit_chains():
     g = parse_grammar("S -> A\nA -> B\nB -> a")
-    graph = Graph()
-    graph.add_edge(0, "a", 1)
-    assert hellings_pairs(graph, g) == {("S", 0, 1), ("A", 0, 1), ("B", 0, 1)}
+    assert hellings_pairs(Graph([(0, "a", 1)]), g) == {("S", 0, 1), ("A", 0, 1), ("B", 0, 1)}
 
 
 class TestAccepts:

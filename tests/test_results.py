@@ -134,9 +134,7 @@ class TestEnumeratePaths:
 
     def test_ambiguous_forest_paths_deduplicated(self, g0):
         # both g0 derivations of "abab" describe the same two-edge-cycle paths
-        graph = Graph(vertex_count=2)
-        graph.add_edge(0, "a", 1)
-        graph.add_edge(1, "b", 0)
+        graph = Graph([(0, "a", 1), (1, "b", 0)])
         result = run_checked(graph, g0, starts={0}, finals={0})
         paths = [p.edges for p in enumerate_paths(result, 0, 0, PathQueryLimits(10, 6))]
         assert len(set(paths)) == len(paths)
@@ -348,10 +346,7 @@ class TestExtractSubgraph:
         assert again.root_pairs() == result.root_pairs()
 
     def test_partial_match_keeps_only_witnessed_edges(self, g1):
-        graph = Graph()
-        for edge in P0:
-            graph.add_edge(*edge)
-        graph.add_edge(3, "c", 2)  # never on a matched path
+        graph = Graph([*P0, (3, "c", 2)])  # (3, c, 2) is never on a matched path
         result = run_checked(graph, g1)
         sub = extract_subgraph(result)
         assert (3, "c", 2) not in set(sub.edges())

@@ -458,6 +458,18 @@ def test_export_equals_reference_encoder_with_escaped_labels():
     _assert_matches_reference(result)
 
 
+def test_dot_labels_escape_backslashes():
+    # Graphviz would read b\n as a line break and drop the backslash of a\"
+    graph = load_tsv('0\ta\\"\t1\n1\tb\\n\t2')
+    result = run_checked(graph, parse_grammar('S -> a\\" b\\n T\nT -> eps'))
+    assert result.root_pairs() == {(0, 2)}
+    dot = export_dot(result.sppf, result.roots)
+    assert r'label="(0, a\\\", 1)"' in dot
+    assert r'label="(1, b\\n, 2)"' in dot
+    assert r'label="(0, S -> a\\\" b\\n . T, 2)"' in dot
+    _assert_matches_reference(result)
+
+
 def test_export_equals_reference_encoder_with_percent_labels():
     # a % in a label must reach the export's records literally
     graph = load_tsv("x\t%d\ty\ny\t%%\tz\nz\t%s\tx\nx\t%s\tx\ny\t%d\tx")
