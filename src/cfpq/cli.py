@@ -59,8 +59,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 def _resolve_vertex(graph: Graph, token: str) -> int:
     try:
         return graph.resolve_vertex(token)
-    except KeyError as exc:
-        raise CliError(str(exc)) from exc
+    except KeyError as exc:  # str() would quote the message
+        raise CliError(exc.args[0]) from exc
 
 
 def _parse_vertex_set(graph: Graph, spec: str) -> frozenset[int] | None:
@@ -126,8 +126,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    if args.max_count < 1 or args.max_length < 1:
-        raise CliError("--max-count and --max-length must be at least 1")
+    limits = PathQueryLimits(max_paths=args.max_count, max_length=args.max_length)
     grammar, graph, starts, finals = _load_inputs(args)
     source = _resolve_vertex(graph, args.source)
     target = _resolve_vertex(graph, args.target)
@@ -136,7 +135,6 @@ def cmd_paths(args: argparse.Namespace) -> int:
     starts = {source} if starts is None or source in starts else set()
     finals = {target} if finals is None or target in finals else set()
     result = run_query(graph, grammar, starts, finals)
-    limits = PathQueryLimits(max_paths=args.max_count, max_length=args.max_length)
     emitted = 0
     for path in enumerate_paths(result, source, target, limits):
         print(format_path(path, graph))
@@ -178,9 +176,7 @@ def _parse_sizes(spec: str) -> list[int]:
             sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError(f"bad --sizes value {spec!r}") from exc
-    if not sizes:
-        raise CliError("size range is empty")
-    if min(sizes) < 1:
+    if min(sizes, default=1) < 1:  # run_sweep rejects an empty range
         raise CliError("sizes must be at least 1")
     return sizes
 
@@ -202,18 +198,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"gss_nodes={r.gss_nodes} descriptors={r.descriptors}"
         )
     ns = [r.n for r in records]
-    if len(records) >= len(bench_mod.NODE_FIT_POWERS):
-        coeffs, r2 = bench_mod.fit_polynomial(
-            ns, [r.sppf_nodes for r in records], bench_mod.NODE_FIT_POWERS
-        )
-        print(f"nodes fit: {bench_mod.format_fit(coeffs, bench_mod.NODE_FIT_POWERS)} "
-              f"(R^2={r2:.6f})")
-    if len(records) >= len(bench_mod.TIME_FIT_POWERS):
-        coeffs, r2 = bench_mod.fit_polynomial(
-            ns, [r.time_ms for r in records], bench_mod.TIME_FIT_POWERS
-        )
-        print(f"time fit: {bench_mod.format_fit(coeffs, bench_mod.TIME_FIT_POWERS)} "
-              f"(R^2={r2:.6f})")
+    for name, values, powers in (
+        ("nodes", [r.sppf_nodes for r in records], bench_mod.NODE_FIT_POWERS),
+        ("time", [r.time_ms for r in records], bench_mod.TIME_FIT_POWERS),
+    ):
+        if len(records) >= len(powers):
+            coeffs, r2 = bench_mod.fit_polynomial(ns, values, powers)
+            print(f"{name} fit: {bench_mod.format_fit(coeffs, powers)} (R^2={r2:.6f})")
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -33,13 +33,12 @@ node, so the accepted roots are read from the start nodes' pops.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 from .grammar import Grammar, GrammarSlot, ParseTable
-from .graph import Graph
+from .graph import Graph, _integer
 from .results import EngineStats, QueryResult
 from .sppf import DUMMY, Sppf
 
@@ -224,10 +223,7 @@ def _vertex_set(vertices: Iterable[int] | None, vertex_count: int) -> frozenset[
         return range(vertex_count)
     chosen = set()
     for v in vertices:
-        try:
-            v = operator.index(v)
-        except TypeError:
-            raise TypeError(f"a vertex must be an integer, got {v!r}") from None
+        v = _integer(v, "a vertex")
         if not 0 <= v < vertex_count:
             raise ValueError(f"vertex {v} outside the graph")
         chosen.add(v)

@@ -48,7 +48,6 @@ class GrammarSlot:
         "key",
         "symbol",
         "symbol_is_terminal",
-        "at_end",
         "next_slot",
         "pass_through",
         "node_prefix",
@@ -61,10 +60,9 @@ class GrammarSlot:
         self.key = (production.index, dot)
         self.symbol = production.rhs[dot] if dot < len(production.rhs) else None
         self.symbol_is_terminal = False
-        self.at_end = self.symbol is None
         self.next_slot: GrammarSlot | None = None
         self.pass_through = False
-        self.node_prefix = (2, production.lhs) if self.at_end else (3, production.index, dot)
+        self.node_prefix = (2, production.lhs) if self.symbol is None else (3, production.index, dot)
         self.packed_base = production.index << 32
 
     def __repr__(self) -> str:
@@ -103,8 +101,6 @@ class Grammar:
         self.nullable: frozenset[str] = compute_nullable(self)
         self.first: dict[str, frozenset[str]] = compute_first(self)
         self._build_slots()
-        # the forest export's record texts, by template, then ambiguity, then key head
-        self._export_templates: dict = {}
 
     def _build_slots(self) -> None:
         slots: list[GrammarSlot] = []
@@ -121,7 +117,7 @@ class Grammar:
                 slot.next_slot = by_key[(slot.production.index, slot.dot + 1)]
             if slot.dot > 0 and slot.production.rhs[slot.dot - 1] in self.nonterminals:
                 self.return_slot_count += 1
-            if slot.dot == 1 and not slot.at_end:
+            if slot.dot == 1 and slot.symbol is not None:
                 prev = slot.production.rhs[0]
                 slot.pass_through = prev in self.terminals or prev not in self.nullable
         self._slots: tuple[GrammarSlot, ...] = tuple(slots)

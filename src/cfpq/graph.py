@@ -20,12 +20,21 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph input, with the offending line number."""
 
 
+def _integer(value: object, name: str) -> int:
+    """A vertex or limit from outside as an int, else a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Graph:
     """A directed graph with labeled, deduplicated edges, built once.
 
-    ``edges`` are ``(source, label, target)`` triples in any order, repeats
-    allowed.  The vertices are 0 up to the largest of ``vertex_count - 1``,
-    an edge's endpoint and an id in ``names`` (``{name: id}`` in id order).
+    ``edges`` are ``(source, label, target)`` triples of integer vertices and
+    string labels, in any order, repeats allowed.  The vertices are 0 up to
+    the largest of ``vertex_count - 1``, an edge's endpoint and an id in
+    ``names`` (``{name: id}`` in id order).
     ``adjacency`` is the index ``{source: {label: sorted targets}}``, sources
     and labels in first-edge order; treat it and ``names`` as read-only.
     """
@@ -35,13 +44,15 @@ class Graph:
     ) -> None:
         out: _Index = {}
         for edge in edges:
-            source, label, target = edge
             try:
-                source, target = operator.index(source), operator.index(target)
-            except TypeError:
-                raise TypeError(f"edge {edge!r}: a vertex must be an integer") from None
+                source, label, target = edge
+                source, target = _integer(source, "a vertex"), _integer(target, "a vertex")
+            except (TypeError, ValueError) as exc:  # not a triple, or a vertex not an integer
+                raise type(exc)(f"edge {edge!r}: {exc}") from None
             if source < 0 or target < 0:
                 raise ValueError(f"edge {edge!r}: a vertex must not be negative")
+            if not isinstance(label, str):
+                raise TypeError(f"edge {edge!r}: a label must be a string, got {label!r}")
             out.setdefault(source, {}).setdefault(label, []).append(target)
             vertex_count = max(vertex_count, source + 1, target + 1)
         if names is not None and list(names.values()) != list(range(len(names))):
@@ -226,18 +237,11 @@ _LITERAL_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': 
 _NAME_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
-def compact_uri(token: str) -> str:
-    """Shorten ``<uri>`` to its fragment, else its last path segment."""
-    uri = token[1:-1]
-    if "#" in uri:
-        frag = uri.rsplit("#", 1)[1]
-        if frag:
-            return frag
-    return uri.rstrip("/").rsplit("/", 1)[-1] or uri
-
-
 def _iri_name(token: str) -> str:
-    name = compact_uri(token)
+    """``<uri>`` shortened to its fragment, else its last path segment."""
+    uri = token[1:-1]
+    name = uri.rsplit("#", 1)[1] if "#" in uri else ""
+    name = name or uri.rstrip("/").rsplit("/", 1)[-1] or uri
     if not name:
         raise GraphFormatError(f"IRI {token} has an empty name")
     return name

@@ -22,13 +22,12 @@ matching paths.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator
 
 from .grammar import Grammar
-from .graph import Graph, Path
+from .graph import Graph, Path, _integer
 from .sppf import DUMMY, Sppf, SppfNode, _reachable
 
 
@@ -40,12 +39,8 @@ class PathQueryLimits:
     max_length: int
 
     def __post_init__(self) -> None:
-        for name in ("max_paths", "max_length"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        _integer(self.max_paths, "max_paths")
+        _integer(self.max_length, "max_length")
         if self.max_paths < 1 or self.max_length < 1:
             raise ValueError("path limits must be at least 1")
 
@@ -295,6 +290,7 @@ def enumerate_paths(
     length come in lexicographic order of their ``(source, label, target)``
     edge tuples.
     """
+    source, target = _integer(source, "source"), _integer(target, "target")
     if source not in result.start_vertices or target not in result.final_vertices:
         return
     root = result.sppf.nonterminal_node(result.grammar.start, source, target)

@@ -34,9 +34,9 @@ children are not listed left first: the left child is the one whose
 Each export number is formatted once, into a table of decimal texts, and
 edges are written per parent from that table, with no ``%`` per edge; a
 non-packed record joins its numbers to the four texts made once per
-distinct kind, label and ambiguity, which its grammar keeps for later
-exports, so only labels go through ``json.dumps``, once per distinct label
-and grammar.  The bytes of :func:`export_json` equal one ``json.dumps`` of
+distinct kind, label and ambiguity, kept per grammar for later exports,
+so only labels go through ``json.dumps``, once per distinct label and
+grammar.  The bytes of :func:`export_json` equal one ``json.dumps`` of
 the whole ``{"nodes": [...], "edges": [...]}`` object.
 """
 
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import countOf
 from typing import Callable, Iterable, Iterator
+from weakref import WeakKeyDictionary
 
 from .grammar import Grammar, GrammarSlot
 
@@ -54,6 +55,9 @@ DUMMY = -1
 _LOW = 0xFFFFFFFF  # the low half of a packed key or value: the pivot or the right child
 
 _KINDS = ("terminal", "epsilon", "nonterminal", "intermediate")
+
+# the export's record texts by grammar (dying with it), template, ambiguity, key head
+_RECORD_TEXTS: WeakKeyDictionary[Grammar, dict] = WeakKeyDictionary()
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,7 +357,7 @@ def _node_records(
     key, ambiguous)`` per distinct kind, label (the key less its extension)
     and ambiguity: the four texts around the number, left and right."""
     keys, packed_of = sppf._keys, sppf._packed
-    templates = sppf.grammar._export_templates.setdefault(template, ({}, {}))
+    templates = _RECORD_TEXTS.setdefault(sppf.grammar, {}).setdefault(template, ({}, {}))
     records = []
     for number, nid in enumerate(pool):
         key = keys[nid]

@@ -202,7 +202,7 @@ class TestQuery:
     [
         (["query", "--nonterminal", "Nope"], "unknown nonterminal 'Nope'"),
         (["query", "--starts", ","], "empty vertex list ','"),
-        (["paths", "--from", "9", "--to", "0"], "vertex 9 out of range"),
+        (["paths", "--from", "9", "--to", "0"], "vertex 9 out of range (graph has 4)"),
         (["paths", "--from", "0", "--to", "x"], "vertex 'x' is not a number"),
     ],
     ids=["nonterminal", "empty-starts", "from", "to"],
@@ -215,7 +215,7 @@ def test_bad_argument_exits_2_before_the_query(graph_file, grammar_file, argv, m
     monkeypatch.setattr("cfpq.cli.run_query", no_query)
     command, *flags = argv
     assert main([command, "--graph", graph_file, "--grammar", grammar_file, *flags]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"  # the message alone, not its repr
 
 
 @pytest.mark.parametrize("flag", ["--triples", "--sppf"])
@@ -364,6 +364,7 @@ class TestBench:
 
     def test_empty_size_range_exits_2(self, capsys):
         assert main(["bench", "--grammar", "g2", "--sizes", "5..2"]) == 2
+        assert "error: size range is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sizes, message", [("0..3", "sizes must be at least 1"), ("2,x", "bad --sizes value")]

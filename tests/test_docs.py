@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import cfpq
@@ -10,7 +14,8 @@ from cfpq import complete_graph, export_json, parse_grammar, run_query
 from cfpq.cli import _add_input_flags
 from conftest import G0_TEXT
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_lists_the_public_names():
@@ -41,6 +46,21 @@ def test_readme_forest_json_example_uses_the_exported_keys():
             emitted.setdefault(node["kind"], set()).add(frozenset(node))
     for node in example["nodes"]:
         assert frozenset(node) in emitted[node["kind"]], node
+
+
+def test_readme_shell_example(tmp_path):
+    quick_start = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = quick_start.split("```sh\n", 1)[1].split("```", 1)[0]
+    tsv = block.split("<<'EOT'\n", 1)[1].split("EOT\n", 1)[0]
+    (tmp_path / "map.tsv").write_text(tsv, encoding="utf-8")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("cfpq ")]
+    assert len(commands) == 4
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for _, *argv in commands:  # as the installed cfpq script runs them
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "cfpq.cli", *argv],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (argv, run.stderr)
+    assert (tmp_path / "result.tsv").exists() and (tmp_path / "bench.csv").exists()
 
 
 def test_readme_library_example(tmp_path, monkeypatch, capsys):

@@ -119,7 +119,7 @@ class TestSlots:
     def test_epsilon_grammar_single_slot(self):
         g = parse_grammar("S -> eps")
         assert len(g.slots()) == 1
-        assert g.slots()[0].at_end
+        assert g.slots()[0].symbol is None
 
     def test_g2_slot_count(self, g2):
         assert len(g2.slots()) == 6

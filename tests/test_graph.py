@@ -89,6 +89,15 @@ class TestAddEdge:
         with pytest.raises(error, match=f"edge {re.escape(repr(edge))}: {re.escape(message)}"):
             Graph([(0, "a", 1), edge])
 
+    @pytest.mark.parametrize(
+        "edge, error",
+        [((0, 5, 1), TypeError), ((0, "a"), ValueError), ((0, "a", 1, 2), ValueError)],
+    )
+    def test_edges_must_be_triples_with_string_labels(self, edge, error):
+        # a label of another type built, and then failed to sort in edges()
+        with pytest.raises(error, match=f"^edge {re.escape(repr(edge))}: "):
+            Graph([edge, (0, "a", 1)])
+
 
 class TestLoadTsv:
     def test_motivating_graph(self):

@@ -131,6 +131,18 @@ class TestEnumeratePaths:
             PathQueryLimits(1.5, 2)
         with pytest.raises(TypeError, match="max_paths must be an integer, got '3'"):
             PathQueryLimits("3", 2)
+        # the type is checked before the range
+        with pytest.raises(TypeError, match="max_length must be an integer, got 2.5"):
+            PathQueryLimits(0, 2.5)
+
+    @pytest.mark.parametrize("vertex", ["0", 0.0, None])
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_endpoints_must_be_integers(self, graph_m, g1, role, vertex):
+        # "0" yielded nothing, as no vertex equals it, and 0.0 found vertex 0
+        result = run_checked(graph_m, g1)
+        endpoints = {"source": 0, "target": 0, role: vertex}
+        with pytest.raises(TypeError, match=f"{role} must be an integer, got {vertex!r}"):
+            list(enumerate_paths(result, **endpoints, limits=PathQueryLimits(2, 12)))
 
     def test_ambiguous_forest_paths_deduplicated(self, g0):
         # both g0 derivations of "abab" describe the same two-edge-cycle paths
