@@ -4,11 +4,21 @@ One :class:`QueryEngine` owns a single execution: the descriptor worklist,
 the merged-stack nodes and the forest under construction.  A descriptor is a
 suspended configuration (slot, stack node, vertex, forest node); each is
 processed exactly once, last in first out, though any order gives the same
-answer, and counted as processed.  Each combine passes ``Sppf.get_node_p``
-the extents it holds and queues the descriptor only if its slot's set of
-forest ids lacks the node: a combined forest node spans (stack origin,
-vertex) on a stack node of the slot's left-hand side.  Input positions are
-graph vertices, so consuming a terminal fans out over all matching out-edges.
+answer, and counted as processed.  :meth:`QueryEngine.run` is the one
+descriptor loop: it splits on the slot and does the terminal step, the call
+with its pop replay, and the pop itself, with its locals bound once, and
+binds none when nothing is pending.  It checks each descriptor it takes: a
+combined forest node spans (stack origin, vertex) on a stack node of the
+slot's left-hand side.  Input positions are graph vertices, so consuming a
+terminal fans out over all matching out-edges; each run keeps the leaf ids
+of a vertex's targets under a label, interned on first use, so a repeated
+terminal step at a vertex interns no leaf again.
+
+Each combine is one ``Sppf.get_node_p`` call, pass-through slots included,
+given the extents the loop holds: that method alone keys, checks and
+records a parent, and its calls are the combines the benchmark counts
+(``sppf.get_node_p_calls`` and ``sppf.packed_yield``).  The loop queues the
+combined descriptor only if its slot's set of forest ids lacks the node.
 
 Forest nodes are integer ids into the :class:`~cfpq.sppf.Sppf` store, and
 ``DUMMY = -1`` is the empty forest before anything matched, so descriptors
@@ -95,19 +105,7 @@ class QueryEngine:
             seeds = graph.adjacency  # a vertex with no out-edge predicts nothing
         self._starts = [n for v in sorted(seeds) if (n := self._call(grammar.start, v))]
 
-    # -- worklist ------------------------------------------------------------
-
-    def add(self, slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int) -> None:
-        """Record and queue a combined descriptor; the caller has found its
-        (slot, forest node) not yet in the slot's descriptor set."""
-        assert stack.nonterminal == slot.production.lhs, f"{slot!r} on {stack!r}"
-        # Every created forest node spans exactly (stack origin, current vertex).
-        assert self.sppf.extent(sppf_node) == (stack.index, vertex), (
-            f"descriptor extension mismatch: {self.sppf.node(sppf_node)!r} at {stack!r}, "
-            f"vertex {vertex}"
-        )
-        self._seen[slot].add(sppf_node)
-        self._pending.append((slot, stack, vertex, sppf_node))
+    # -- calls -------------------------------------------------------------------
 
     def _call(self, nonterminal: str, vertex: int) -> GssNode | None:
         """The stack node of a call of ``nonterminal`` at ``vertex``, or None
@@ -131,69 +129,65 @@ class QueryEngine:
             if empty or not first.isdisjoint(labels)
         ]
 
-    # -- the three stack primitives -------------------------------------------
-
-    def create(
-        self, return_slot: GrammarSlot, stack: GssNode, vertex: int, sppf_node: int
-    ) -> GssNode | None:
-        """Call the nonterminal before ``return_slot`` at ``vertex`` and
-        attach the caller; a new stack edge replays every pop already
-        recorded on the node.  None, with no edge, when the call predicts
-        nothing."""
-        callee = return_slot.production.rhs[return_slot.dot - 1]
-        node = self._call(callee, vertex)
-        edge = (return_slot, sppf_node, stack)
-        if node is not None and edge not in node.edges:
-            node.edges[edge] = None
-            get_node_p, seen = self.sppf.get_node_p, self._seen[return_slot]
-            for popped, end in node.pops.items():
-                combined = get_node_p(return_slot, sppf_node, popped, stack.index, node.index, end)
-                if combined not in seen:
-                    self.add(return_slot, stack, end, combined)
-        return node
-
-    def pop(self, stack: GssNode, vertex: int, sppf_node: int) -> None:
-        """Record the pop and resume every caller attached to the node."""
-        if sppf_node in stack.pops:
-            return
-        stack.pops[sppf_node] = vertex
-        get_node_p, seen = self.sppf.get_node_p, self._seen
-        for slot, edge_sppf, caller in stack.edges:
-            combined = get_node_p(slot, edge_sppf, sppf_node, caller.index, stack.index, vertex)
-            if combined not in seen[slot]:
-                self.add(slot, caller, vertex, combined)
-
-    # -- descriptor dispatch ----------------------------------------------------
-
-    def processing(self, descriptor: tuple) -> None:
-        """One step: case split on the dotted slot of the descriptor."""
-        slot, stack, vertex, current = descriptor
-        symbol = slot.symbol
-        if symbol is None:
-            if current == DUMMY:  # empty right-hand side
-                epsilon = self.sppf.epsilon_node(vertex)
-                current = self.sppf.get_node_p(slot, DUMMY, epsilon, vertex, vertex, vertex)
-            self.pop(stack, vertex, current)
-        elif slot.symbol_is_terminal:
-            next_slot, seen = slot.next_slot, self._seen[slot.next_slot]
-            terminal_node, get_node_p = self.sppf.terminal_node, self.sppf.get_node_p
-            for target in self.graph.adjacency.get(vertex, {}).get(symbol, ()):
-                right = terminal_node(vertex, symbol, target)
-                combined = get_node_p(next_slot, current, right, stack.index, vertex, target)
-                if combined not in seen:
-                    self.add(next_slot, stack, target, combined)
-        else:
-            self.create(slot.next_slot, stack, vertex, current)
+    # -- the run loop -----------------------------------------------------------
 
     def run(self) -> QueryResult:
-        """Process and count every descriptor; the roots are the start nodes' pops."""
+        """Process and count every descriptor (the loop of the module
+        docstring); the roots are the start nodes' pops."""
         pending = self._pending
-        pop = pending.pop
-        processing = self.processing
         processed = 0
-        while pending:
-            processing(pop())
-            processed += 1
+        if pending:  # most single-source lookups predict nothing: no set-up then
+            pop, push, seen, call = pending.pop, pending.append, self._seen, self._call
+            sppf, adjacency = self.sppf, self.graph.adjacency
+            get_node_p, terminal_node, keys = sppf.get_node_p, sppf.terminal_node, sppf._keys
+            leaves: dict[tuple[int, str], list[tuple[int, int]]] = {}  # (vertex, label) -> leaves
+            while pending:
+                slot, stack, vertex, current = pop()
+                processed += 1
+                # A combined forest node spans (stack origin, vertex).
+                assert stack.nonterminal == slot.production.lhs and (
+                    current == DUMMY or keys[current][-2:] == (stack.index, vertex)
+                ), f"descriptor mismatch: {slot!r} on {stack!r} at {vertex}, forest node {current}"
+                symbol = slot.symbol
+                if symbol is None:  # pop, and resume every caller attached
+                    if current == DUMMY:  # empty right-hand side
+                        epsilon = sppf.epsilon_node(vertex)
+                        current = get_node_p(slot, DUMMY, epsilon, vertex, vertex, vertex)
+                    if current in stack.pops:
+                        continue
+                    stack.pops[current] = vertex
+                    for resume, left, caller in stack.edges:
+                        combined = get_node_p(resume, left, current, caller.index, stack.index, vertex)
+                        recorded = seen[resume]
+                        if combined not in recorded:
+                            recorded.add(combined)
+                            push((resume, caller, vertex, combined))
+                elif slot.symbol_is_terminal:
+                    targets = leaves.get((vertex, symbol))
+                    if targets is None:
+                        targets = leaves[vertex, symbol] = [
+                            (target, terminal_node(vertex, symbol, target))
+                            for target in adjacency.get(vertex, {}).get(symbol, ())
+                        ]
+                    next_slot = slot.next_slot
+                    recorded = seen[next_slot]
+                    for target, right in targets:
+                        combined = get_node_p(next_slot, current, right, stack.index, vertex, target)
+                        if combined not in recorded:
+                            recorded.add(combined)
+                            push((next_slot, stack, target, combined))
+                else:  # call, and replay the callee's pops for a new stack edge
+                    return_slot, callee = slot.next_slot, call(symbol, vertex)
+                    edge = (return_slot, current, stack)
+                    if callee is None or edge in callee.edges:
+                        continue
+                    callee.edges[edge] = None
+                    recorded = seen[return_slot]
+                    for popped, end in callee.pops.items():
+                        combined = get_node_p(return_slot, current, popped, stack.index, vertex, end)
+                        if combined not in recorded:
+                            recorded.add(combined)
+                            push((return_slot, stack, end, combined))
         roots = sorted(
             (stack.index, right, popped)
             for stack in self._starts

@@ -162,18 +162,16 @@ class _PathTables:
         self.root, self.width, self.k = root, max_length + 1, k
         far = self.width  # beyond every window
         hops = _Hops(graph, max_length)
-        s, t = sppf.extent(root)
+        keys = sppf._keys  # a key's last two fields are the node's extent
+        s, t = keys[root][-2:]
         windows: dict[tuple[int, int], tuple[int, int]] = {}  # every extent reached
         groups: dict[tuple[int, int], list] = {}  # the expanded non-leaf nodes by extent
         alts = self.alts = {}  # every node expanded: its alternatives
-        seen = {DUMMY}
+        seen = {DUMMY, root}  # every node pushed, so each is pushed once
         stack = [root]
         while stack:
             node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            extent = sppf.extent(node)
+            extent = keys[node][-2:]
             if extent not in windows:
                 u, v = extent
                 hi = max_length - hops[s].get(u, far) - hops[v].get(t, far)
@@ -184,7 +182,11 @@ class _PathTables:
             pairs = alts[node] = sppf.alternatives(node)
             if pairs:
                 groups.setdefault(extent, []).append((node, pairs))
-            stack += [c for pair in pairs for c in pair if c not in seen]
+            for pair in pairs:
+                for child in pair:
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
         self.groups = [(*windows[extent], members) for extent, members in groups.items()]
         masks = self.masks = [0] * (max(seen) + 2)  # the last slot is masks[DUMMY]
         self.table: dict[int, tuple] = {DUMMY * self.width: ((),)}

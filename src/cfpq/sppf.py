@@ -22,8 +22,10 @@ The store has three parts:
 
 ``DUMMY = -1`` is the absent left child, and in the engine the empty forest
 before anything matched.  The key layout stays inside this module and those
-two slot fields: callers hold ids, call :class:`Sppf` methods, and read nodes through
-:class:`SppfNode` views made on demand.
+two slot fields, but for the extension, which the engine's checks and the
+path tables read as ``_keys[nid][-2:]``: callers hold ids, call
+:class:`Sppf` methods, and read nodes through :class:`SppfNode` views made
+on demand.
 
 Exports number non-packed nodes first, in key order (by kind: terminal,
 epsilon, nonterminal, intermediate, then by the rest of the key); packed
@@ -209,10 +211,6 @@ class Sppf:
 
     def node(self, nid: int) -> SppfNode:
         return SppfNode(self, nid)
-
-    def extent(self, nid: int) -> tuple[int, int]:
-        """The (start vertex, end vertex) of a node."""
-        return self._keys[nid][-2:]
 
     def terminal_edge(self, nid: int) -> tuple[int, str, int] | None:
         """The graph edge ``(source, label, target)`` of a terminal node, else None."""

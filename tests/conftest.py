@@ -92,13 +92,14 @@ def run_recording_dispatches(graph, grammar, starts=None, finals=None, **kwargs)
     """
     engine = query_engine(graph, grammar, starts, finals, **kwargs)
     processed = []
-    process = engine.processing
 
-    def recorded(descriptor):
-        processed.append(descriptor)
-        process(descriptor)
+    class Recording(type(engine._pending)):  # ``run`` takes every descriptor by ``pop``
+        def pop(self):
+            descriptor = super().pop()
+            processed.append(descriptor)
+            return descriptor
 
-    engine.processing = recorded
+    engine._pending = Recording(engine._pending)
     result = audited(engine.run())
     return result, [
         (slot.key, (stack.nonterminal, stack.index), vertex, forest_key(result.sppf, nid))

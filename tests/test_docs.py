@@ -78,3 +78,27 @@ def test_readme_library_example(tmp_path, monkeypatch, capsys):
     assert (root.kind, root.label, root.left, root.right) == ("nonterminal", "S", 0, 0)
     # the snippet's comments state these outputs
     assert "# {(0, 0), (0, 3)}" in snippet and "# {(2, 3)}" in snippet and "(0, S, 0)" in snippet
+
+
+def _result_lines(entry):
+    """Every benchmark result line in a parsed ``BENCH_*.json``: each object
+    that carries ``correct``."""
+    if isinstance(entry, dict):
+        if "correct" in entry:
+            yield entry
+        else:
+            for value in entry.values():
+                yield from _result_lines(value)
+    elif isinstance(entry, list):
+        for value in entry:
+            yield from _result_lines(value)
+
+
+def test_committed_benchmark_results_are_correct_runs():
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files, "no committed BENCH_*.json"
+    for path in files:
+        lines = list(_result_lines(json.loads(path.read_text(encoding="utf-8"))))
+        assert lines, f"{path.name} holds no result line"
+        for line in lines:
+            assert line["correct"] is True and line["failed"] == 0, path.name

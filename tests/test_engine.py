@@ -37,17 +37,49 @@ def descriptor_count(eng):
     return sum(map(len, eng._seen.values()))
 
 
+class _OneStep(list):
+    """A worklist that reads as empty once ``run`` has popped from it, so
+    that ``run`` processes only the descriptor on top."""
+
+    popped = False
+
+    def pop(self):
+        self.popped = True
+        return super().pop()
+
+    def __bool__(self):
+        return not self.popped
+
+
+def step(eng, descriptor):
+    """Let ``run`` process ``descriptor`` alone, above the pending ones, and
+    return what that step queued; it stays pending after the rest."""
+    before = len(eng._pending)
+    eng._pending = _OneStep([*eng._pending, descriptor])
+    eng.run()
+    eng._pending = list(eng._pending)
+    return eng._pending[before:]
+
+
+def completed_a(eng, grammar):
+    # A -> a . on the edge (0, a, 1): the A node spanning (0, 1)
+    leaf = eng.sppf.terminal_node(0, "a", 1)
+    return eng.sppf.get_node_p(grammar.slot(2, 1), DUMMY, leaf, 0, 0, 1)
+
+
 class TestAdd:
     def test_fresh_descriptor_enters_both_sets(self):
         eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
-        completed = eng.sppf.get_node_p(
-            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
-        )
+        step(eng, (grammar.slot(0, 0), start, 0, DUMMY))  # S -> . A b calls A at 0
+        node = eng._gss["A", 0]
+        completed = completed_a(eng, grammar)
         pending = len(eng._pending)
-        eng.add(grammar.slot(0, 1), start, 1, completed)  # S -> A . b holds A on (0, 1)
+        # the pop of A at 1 resumes S -> A . b, which holds A on (0, 1)
+        queued = step(eng, (grammar.slot(2, 1), node, 1, completed))
         assert eng._seen[grammar.slot(0, 1)] == {completed}
         assert len(eng._pending) == pending + 1
+        assert queued == [(grammar.slot(0, 1), start, 1, completed)]
 
     def test_duplicate_descriptor_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
@@ -68,26 +100,31 @@ class TestAdd:
     def test_stack_of_another_nonterminal_is_rejected(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         with pytest.raises(AssertionError):  # Middle -> . a b on the stack of S
-            eng.add(g1.slot(2, 0), eng._call("S", 0), 0, DUMMY)
+            step(eng, (g1.slot(2, 0), eng._call("S", 0), 0, DUMMY))
+
+    def test_forest_node_of_another_extent_is_rejected(self, graph_m, g1):
+        eng = fresh_engine(graph_m, g1)
+        leaf = eng.sppf.terminal_node(1, "a", 2)  # spans (1, 2), not (0, 2)
+        with pytest.raises(AssertionError, match="descriptor mismatch"):
+            step(eng, (g1.slot(0, 1), eng._call("S", 0), 2, leaf))
 
     def test_second_add_of_one_slot_and_forest_node_is_ignored(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         start = eng._call("S", 0)
         eng._pending.clear()
         for _ in range(2):  # S -> . a S b at 0 reads the edge (0, a, 1) twice
-            eng.processing((g1.slot(0, 0), start, 0, DUMMY))
+            step(eng, (g1.slot(0, 0), start, 0, DUMMY))
         (descriptor,) = eng._pending
         assert descriptor[:3] == (g1.slot(0, 1), start, 1)
 
     def test_one_forest_node_under_another_slot_is_kept(self):
         eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
-        completed = eng.sppf.get_node_p(
-            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
-        )
-        eng.add(grammar.slot(0, 1), start, 1, completed)
+        step(eng, (grammar.slot(0, 0), start, 0, DUMMY))  # S -> . A b calls A at 0
+        step(eng, (grammar.slot(2, 1), eng._gss["A", 0], 1, completed_a(eng, grammar)))
         seen = descriptor_count(eng)
-        eng.add(grammar.slot(1, 1), start, 1, completed)  # S -> A . c holds the same A
+        # S -> . A c calls A at 0 again: the replayed pop gives S -> A . c the same A
+        step(eng, (grammar.slot(1, 0), start, 0, DUMMY))
         assert descriptor_count(eng) == seen + 1
 
 
@@ -106,14 +143,13 @@ class TestPop:
             3,
         )
         completed = eng.sppf.get_node_p(g1.slot(1, 1), DUMMY, middle, 0, 0, 3)  # S on (0, 3)
-        eng.pop(start, 3, completed)
+        step(eng, (g1.slot(1, 1), start, 3, completed))  # S -> Middle . pops S at 3
         assert len(eng._pending) == pending
         assert list(start.pops) == [completed]
         # S -> a S . b after the edge (2, a, 0) calls S at 0: the start node
-        returned = eng.create(
-            g1.slot(0, 2), caller, 0, eng.sppf.terminal_node(2, "a", 0)
-        )
-        assert returned is start
+        leaf = eng.sppf.terminal_node(2, "a", 0)
+        step(eng, (g1.slot(0, 1), caller, 0, leaf))
+        assert list(start.edges) == [(g1.slot(0, 2), leaf, caller)]
         (descriptor,) = list(eng._pending)[pending:]
         slot, stack, vertex, sppf_id = descriptor
         sppf_node = eng.sppf.node(sppf_id)
@@ -123,28 +159,26 @@ class TestPop:
     def test_pop_offers_one_descriptor_per_stack_edge(self):
         eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
-        node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
-        assert eng.create(grammar.slot(1, 1), start, 0, DUMMY) is node
+        step(eng, (grammar.slot(0, 0), start, 0, DUMMY))
+        node = eng._gss["A", 0]
+        step(eng, (grammar.slot(1, 0), start, 0, DUMMY))
+        assert eng._gss["A", 0] is node
         assert (node.nonterminal, node.index) == ("A", 0) and len(node.edges) == 2
         pending = len(eng._pending)
         # a completed A spanning (0, 1) resumes both return slots
-        completed = eng.sppf.get_node_p(
-            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
-        )
-        eng.pop(node, 1, completed)
+        step(eng, (grammar.slot(2, 1), node, 1, completed_a(eng, grammar)))
         assert len(eng._pending) == pending + 2
 
     def test_create_after_pop_replays_recorded_result(self):
         eng, grammar = two_call_sites_engine()
         start = eng._call("S", 0)
-        node = eng.create(grammar.slot(0, 1), start, 0, DUMMY)
-        completed = eng.sppf.get_node_p(
-            grammar.slot(2, 1), DUMMY, eng.sppf.terminal_node(0, "a", 1), 0, 0, 1
-        )
-        eng.pop(node, 1, completed)
+        step(eng, (grammar.slot(0, 0), start, 0, DUMMY))
+        node = eng._gss["A", 0]
+        step(eng, (grammar.slot(2, 1), node, 1, completed_a(eng, grammar)))
         pending = len(eng._pending)
-        returned = eng.create(grammar.slot(1, 1), start, 0, DUMMY)
-        assert returned is node  # interned on (nonterminal, vertex)
+        step(eng, (grammar.slot(1, 0), start, 0, DUMMY))
+        assert eng._gss["A", 0] is node  # interned on (nonterminal, vertex)
+        assert len(node.edges) == 2
         assert len(eng._pending) == pending + 1  # the pop replayed for the late return slot
 
 
@@ -152,7 +186,7 @@ class TestUnpredictedCall:
     def test_create_attaches_no_edge_to_a_call_that_predicts_nothing(self, graph_m, g1):
         eng = fresh_engine(graph_m, g1)
         start = eng._call("S", 0)
-        assert eng.create(g1.slot(1, 1), start, 3, DUMMY) is None  # S -> Middle . at 3
+        assert step(eng, (g1.slot(1, 0), start, 3, DUMMY)) == []  # S -> . Middle at 3
         assert ("Middle", 3) not in eng._gss
 
     def test_sparse_ids_make_no_stack_node_per_vertex(self, monkeypatch):
@@ -178,7 +212,7 @@ class TestProcessing:
         eng = fresh_engine(graph_m, g1)
         start = eng._call("S", 0)
         eng._pending.clear()
-        eng.processing((g1.slot(0, 0), start, 0, DUMMY))
+        step(eng, (g1.slot(0, 0), start, 0, DUMMY))
         (descriptor,) = eng._pending
         slot, stack, vertex, sppf_id = descriptor
         sppf_node = eng.sppf.node(sppf_id)
@@ -189,7 +223,7 @@ class TestProcessing:
         eng = fresh_engine(graph_m, g1)
         start = eng._call("S", 0)
         eng._pending.clear()
-        eng.processing((g1.slot(0, 0), start, 3, DUMMY))  # no a-edge out of 3
+        step(eng, (g1.slot(0, 0), start, 3, DUMMY))  # no a-edge out of 3
         assert not eng._pending
 
     def test_nonterminal_step_predicts_table_cells(self, graph_m, g1):
@@ -457,6 +491,21 @@ def test_one_get_node_p_call_per_combine(g0, n, packed, descriptors, monkeypatch
         packed,
         descriptors,
     )
+
+
+@pytest.mark.parametrize("n, leaves", [(4, 24), (6, 60), (8, 112)])
+def test_one_leaf_lookup_per_leaf_per_run(g0, n, leaves, monkeypatch):
+    # a run interns each (vertex, label) pair's leaves once, not per descriptor
+    calls = [0]
+    terminal_node = Sppf.terminal_node
+
+    def counted(sppf, *args):
+        calls[0] += 1
+        return terminal_node(sppf, *args)
+
+    monkeypatch.setattr(Sppf, "terminal_node", counted)
+    result = run_query(complete_graph(n, "ab"), g0)
+    assert calls[0] == result.sppf.stats().terminal == leaves
 
 
 def test_dispatch_counts(graph_m, g1):
